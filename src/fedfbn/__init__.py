@@ -16,7 +16,7 @@ from .errors import FedfbnError
 from .federation import GlobalModel, Node, Strategy, Weighting, run_federation
 from .metrics import ComparisonResult, EvalReport, auroc, bootstrap_ci, paired_ttest
 from .network import BnPolicy, Model, ModelSpec, init_model
-from .numerics import RngStream, derive_stream
+from .numerics import RngStream
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "Weighting",
     "auroc",
     "bootstrap_ci",
-    "derive_stream",
     "init_model",
     "load_config",
     "paired_ttest",

@@ -10,12 +10,15 @@ is bit-exact because the payload is the raw IEEE-754 bytes.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
-from .errors import ParseError
-from .network import BnParams, DenseParams, HEAD_PREFIX, Model, ModelSpec
+from .errors import ConfigError, ParseError
+from .federation import GlobalModel, Strategy
+from .network import HEAD_PREFIX, ModelSpec, key_kind, param_shapes
 from .numerics import Tensor
 
 MAGIC = b"FBNCKPT1"
@@ -54,8 +57,16 @@ def write_archive(path, kind: str, meta: dict, tensors: dict[str, Tensor]) -> No
             fh.write(blob)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def read_archive(path) -> tuple[str, dict, dict[str, Tensor]]:
-    """Inverse of write_archive; malformed files raise ParseError."""
+    """Inverse of write_archive; malformed files raise ParseError.
+
+    Entries must be contiguous in header order: each starts where the
+    previous one ends, and the last ends at the end of the payload.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < len(MAGIC) + 4:
@@ -68,41 +79,46 @@ def read_archive(path) -> tuple[str, dict, dict[str, Tensor]]:
         raise ParseError(f"{path}: truncated header")
     try:
         header = json.loads(data[body_start : body_start + header_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: header is not valid JSON: {exc}") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise ParseError(
             f"{path}: unsupported format_version {header.get('format_version')}"
         )
+    kind, meta, entries = header.get("kind"), header.get("meta"), header.get("entries")
+    if not (isinstance(kind, str) and isinstance(meta, dict) and isinstance(entries, list)):
+        raise ParseError(f"{path}: header needs a string kind, object meta, list entries")
+    if (len(data) - body_start - header_len) % 8:
+        raise ParseError(f"{path}: payload is not a whole number of float64s")
     payload = np.frombuffer(data[body_start + header_len :], dtype="<f8")
     tensors: dict[str, Tensor] = {}
-    expected = 0
-    for entry in header["entries"]:
-        key, shape = entry["key"], tuple(entry["shape"])
-        offset, count = entry["offset"], entry["count"]
-        if int(np.prod(shape, dtype=np.int64)) != count:
+    end = 0
+    for entry in entries:
+        fields = entry if isinstance(entry, dict) else {}
+        key, shape, offset, count = (fields.get(f) for f in ("key", "shape", "offset", "count"))
+        if not (
+            isinstance(key, str)
+            and isinstance(shape, list)
+            and all(map(_is_count, [*shape, offset, count]))
+        ):
+            raise ParseError(f"{path}: malformed entry {entry!r}")
+        if key in tensors:
+            raise ParseError(f"{path}: duplicate entry '{key}'")
+        if offset != end:
+            raise ParseError(f"{path}: entry '{key}' starts at {offset}, not at {end}")
+        if math.prod(shape) != count:
             raise ParseError(f"{path}: entry '{key}' shape/count mismatch")
-        if offset + count > payload.size:
+        end = offset + count
+        if end > payload.size:
             raise ParseError(f"{path}: entry '{key}' runs past the payload")
-        tensors[key] = (
-            payload[offset : offset + count].astype(np.float64).reshape(shape)
-        )
-        expected = max(expected, offset + count)
-    if payload.size != expected:
+        tensors[key] = payload[offset:end].astype(np.float64).reshape(shape)
+    if payload.size != end:
         raise ParseError(
-            f"{path}: payload holds {payload.size} floats, header expects {expected}"
+            f"{path}: payload holds {payload.size} floats, header expects {end}"
         )
-    return header["kind"], header["meta"], tensors
-
-
-def spec_meta(spec: ModelSpec) -> dict:
-    return {
-        "input_dim": spec.input_dim,
-        "hidden_dims": list(spec.hidden_dims),
-        "label_names": list(spec.label_names),
-        "bn_momentum": spec.bn_momentum,
-        "bn_eps": spec.bn_eps,
-    }
+    return kind, meta, tensors
 
 
 def spec_from_meta(meta: dict) -> ModelSpec:
@@ -114,81 +130,92 @@ def spec_from_meta(meta: dict) -> ModelSpec:
             bn_momentum=float(meta["bn_momentum"]),
             bn_eps=float(meta["bn_eps"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid model spec metadata: {exc}") from None
 
 
-def model_tensors(model: Model) -> dict[str, Tensor]:
-    """Canonical flat view: trunk layers in forward order, heads by spec order."""
-    out: dict[str, Tensor] = {}
-    for name, params in model.layers.items():
-        if isinstance(params, DenseParams):
-            out[f"{name}/weight"] = params.weight
-            out[f"{name}/bias"] = params.bias
-        else:
-            out[f"{name}/gamma"] = params.gamma
-            out[f"{name}/beta"] = params.beta
-            out[f"{name}/running_mean"] = params.running_mean
-            out[f"{name}/running_var"] = params.running_var
-    for label in model.spec.label_names:
-        head = model.heads[label]
-        out[f"{HEAD_PREFIX}{label}/weight"] = head.weight
-        out[f"{HEAD_PREFIX}{label}/bias"] = head.bias
-    return out
+def _layout(spec: ModelSpec, bn_nodes) -> dict[str, tuple[int | None, str]]:
+    """Global-checkpoint key -> (node id or None for shared, parameter key).
+
+    In file order: the shared trunk as ``rep/<key>``, FEDBN's per-node batch
+    norm as ``node_bn/<node id>/<key>``, then heads as ``head/<label>/<name>``.
+    """
+    kinds = {key: key_kind(key) for key in param_shapes(spec)}
+    shared = {"dense"} if bn_nodes is not None else {"dense", "bn"}
+    layout = {f"rep/{k}": (None, k) for k, kind in kinds.items() if kind in shared}
+    for node_id in bn_nodes or ():
+        layout.update(
+            {f"node_bn/{node_id}/{k}": (node_id, k) for k, kind in kinds.items() if kind == "bn"}
+        )
+    head = len(HEAD_PREFIX)
+    layout.update({f"head/{k[head:]}": (None, k) for k, kind in kinds.items() if kind == "head"})
+    return layout
 
 
-def save_model(model: Model, path) -> None:
-    write_archive(path, "model", {"spec": spec_meta(model.spec)}, model_tensors(model))
+def save_global(gm: GlobalModel, path) -> None:
+    """Checkpoint a global model (kind "global"), bit-exact round-trip."""
+    bn_nodes = sorted(gm.per_node_bn) if gm.per_node_bn is not None else None
+    tensors = {
+        disk_key: (gm.params if node_id is None else gm.per_node_bn[node_id])[key]
+        for disk_key, (node_id, key) in _layout(gm.spec, bn_nodes).items()
+    }
+    meta = {
+        "spec": asdict(gm.spec),
+        "strategy": gm.strategy.value,
+        "round_index": gm.round_index,
+        "node_labels": {str(i): list(v) for i, v in gm.node_labels.items()},
+        "bn_nodes": bn_nodes,
+    }
+    write_archive(path, "global", meta, tensors)
 
 
-def _take(tensors: dict[str, Tensor], key: str, path) -> Tensor:
-    if key not in tensors:
-        raise ParseError(f"{path}: missing tensor '{key}'")
-    return tensors.pop(key)
-
-
-def load_model(path) -> Model:
+def load_global(path) -> GlobalModel:
+    """Inverse of save_global; the key set and every shape must match the spec."""
     kind, meta, tensors = read_archive(path)
-    if kind != "model":
-        raise ParseError(f"{path}: expected a model checkpoint, got kind '{kind}'")
-    spec = spec_from_meta(meta.get("spec", {}))
-    layers: dict[str, DenseParams | BnParams] = {}
-    for i in range(len(spec.hidden_dims)):
-        layers[f"dense{i}"] = DenseParams(
-            weight=_take(tensors, f"dense{i}/weight", path),
-            bias=_take(tensors, f"dense{i}/bias", path),
-        )
-        layers[f"bn{i}"] = BnParams(
-            gamma=_take(tensors, f"bn{i}/gamma", path),
-            beta=_take(tensors, f"bn{i}/beta", path),
-            running_mean=_take(tensors, f"bn{i}/running_mean", path),
-            running_var=_take(tensors, f"bn{i}/running_var", path),
-        )
-    heads = {}
-    for label in spec.label_names:
-        heads[label] = DenseParams(
-            weight=_take(tensors, f"{HEAD_PREFIX}{label}/weight", path),
-            bias=_take(tensors, f"{HEAD_PREFIX}{label}/bias", path),
-        )
-    if tensors:
-        raise ParseError(f"{path}: unexpected tensors {sorted(tensors)}")
-    model = Model(spec=spec, layers=layers, heads=heads)
-    _validate_shapes(model, path)
-    return model
+    if kind != "global":
+        raise ParseError(f"{path}: expected a global checkpoint, got kind '{kind}'")
+    spec = spec_from_meta(meta.get("spec"))
+    try:
+        strategy = Strategy(meta.get("strategy"))
+    except ValueError:
+        raise ParseError(f"{path}: unknown strategy {meta.get('strategy')!r}") from None
+    round_index = meta.get("round_index")
+    if not _is_count(round_index):
+        raise ParseError(f"{path}: meta.round_index must be an int >= 0")
+    node_labels = meta.get("node_labels")
+    if not isinstance(node_labels, dict) or not all(
+        i.isdecimal() and isinstance(v, list) and all(isinstance(l, str) for l in v)
+        for i, v in node_labels.items()
+    ):
+        raise ParseError(f"{path}: meta.node_labels must map node ids to label lists")
+    # FEDBN keeps batch norm for every node it aggregated; others keep none
+    bn_nodes = meta.get("bn_nodes")
+    if bn_nodes != (sorted(map(int, node_labels)) if strategy is Strategy.FEDBN else None):
+        raise ParseError(f"{path}: meta.bn_nodes does not fit strategy {strategy.value}")
 
-
-def _validate_shapes(model: Model, path) -> None:
-    spec = model.spec
-    fan_in = spec.input_dim
-    for i, width in enumerate(spec.hidden_dims):
-        dense = model.layers[f"dense{i}"]
-        if dense.weight.shape != (fan_in, width) or dense.bias.shape != (width,):
-            raise ParseError(f"{path}: dense{i} tensors have the wrong shape")
-        bn = model.layers[f"bn{i}"]
-        for t in (bn.gamma, bn.beta, bn.running_mean, bn.running_var):
-            if t.shape != (width,):
-                raise ParseError(f"{path}: bn{i} tensors have the wrong shape")
-        fan_in = width
-    for label, head in model.heads.items():
-        if head.weight.shape != (fan_in, 1) or head.bias.shape != (1,):
-            raise ParseError(f"{path}: head '{label}' has the wrong shape")
+    shapes = param_shapes(spec)
+    layout = _layout(spec, bn_nodes)
+    missing = [k for k in layout if k not in tensors]
+    unexpected = sorted(k for k in tensors if k not in layout)
+    if missing or unexpected:
+        raise ParseError(
+            f"{path}: missing tensors {missing}, unexpected tensors {unexpected}"
+        )
+    params: dict[str, Tensor] = {}
+    per_node_bn = None if bn_nodes is None else {i: {} for i in bn_nodes}
+    for disk_key, (node_id, key) in layout.items():
+        tensor = tensors[disk_key]
+        if tensor.shape != shapes[key]:
+            raise ParseError(
+                f"{path}: tensor '{disk_key}' has shape {tensor.shape}, "
+                f"the spec needs {shapes[key]}"
+            )
+        (params if node_id is None else per_node_bn[node_id])[key] = tensor
+    return GlobalModel(
+        spec=spec,
+        params=params,
+        node_labels={int(i): tuple(v) for i, v in node_labels.items()},
+        strategy=strategy,
+        round_index=round_index,
+        per_node_bn=per_node_bn,
+    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import ConfigError
 
@@ -246,17 +246,6 @@ def load_config(path) -> ExperimentConfig:
 def config_digest(text: str) -> str:
     """SHA-256 of the raw config text; recorded in run manifests."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def config_summary(cfg: ExperimentConfig) -> dict:
-    """Plain-JSON view of every field (tuples become lists)."""
-    out = {}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, tuple):
-            value = list(value)
-        out[f.name] = value
-    return out
 
 
 def render_config(cfg: ExperimentConfig) -> str:

@@ -361,23 +361,6 @@ def make_iid_halves(ds: Dataset, rng: RngStream) -> tuple[Dataset, Dataset]:
     return half_a, half_b
 
 
-def prune_labels(ds: Dataset, keep) -> Dataset:
-    """Zero the mask outside ``keep``; label columns are retained."""
-    keep = list(keep)
-    if not keep:
-        raise ConfigError("prune_labels: keep must be non-empty")
-    idx = ds.label_indices(keep)
-    mask = np.zeros_like(ds.mask)
-    mask[:, idx] = ds.mask[:, idx]
-    return Dataset(
-        features=ds.features.copy(),
-        labels=ds.labels.copy(),
-        mask=mask,
-        patient_ids=ds.patient_ids.copy(),
-        label_names=ds.label_names,
-    )
-
-
 def concat_naive(a: Dataset, b: Dataset) -> Dataset:
     """Stack rows; the label space becomes the union by name.
 

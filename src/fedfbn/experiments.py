@@ -24,8 +24,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from . import checkpoint
-from .config import ExperimentConfig, node_learning_rates
+from .checkpoint import save_global
+from .config import ExperimentConfig, config_digest, node_learning_rates
 from .datagen import (
     Dataset,
     DomainSpec,
@@ -47,7 +47,6 @@ from .federation import (
     Weighting,
     evaluate_global,
     run_federation,
-    save_global,
 )
 from .metrics import EvalReport, paired_ttest
 from .network import Model, ModelSpec, model_copy, pretrain_backbone, warmup_heads, with_heads
@@ -233,7 +232,7 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
 
 def model_hash(model: Model) -> str:
     h = hashlib.sha256()
-    for key, tensor in checkpoint.model_tensors(model).items():
+    for key, tensor in model.params.items():
         h.update(key.encode("utf-8"))
         h.update(str(tensor.shape).encode())
         h.update(tensor.tobytes())
@@ -284,49 +283,38 @@ def _execute_arm(
     master: RngStream,
 ) -> ArmResult:
     lrs = node_learning_rates(cfg)
-    if arm in ("fedfbn", "fedavg", "fedbn"):
-        nodes = [
-            Node(
-                node_id=i,
-                train=data.node_train[i],
-                val=data.node_val[i],
-                model=model_copy(node_models[i]),
-                rng=master.child(f"batches:node{i}"),
-                lr=lrs[i],
-                batch_size=cfg.batch_size,
-            )
-            for i in (0, 1)
-        ]
-        strategy = Strategy(arm)
-    elif arm in ("local_node0", "local_node1"):
-        i = int(arm[-1])
-        nodes = [
-            Node(
-                node_id=i,
-                train=data.node_train[i],
-                val=data.node_val[i],
-                model=model_copy(node_models[i]),
-                rng=master.child(f"batches:node{i}"),
-                lr=lrs[i],
-                batch_size=cfg.batch_size,
-            )
-        ]
-        strategy = Strategy.FEDAVG
-    elif arm == "centralized":
-        nodes = [
-            Node(
-                node_id=0,
-                train=data.pooled_train,
-                val=data.pooled_val,
-                model=model_copy(central_model),
-                rng=master.child("batches:centralized"),
-                lr=cfg.lr,
-                batch_size=cfg.batch_size,
-            )
-        ]
-        strategy = Strategy.FEDAVG
-    else:
+    # arm -> (strategy, rows of node id, train, val, start model, batch
+    # stream label, learning rate)
+    pair = [
+        (i, data.node_train[i], data.node_val[i], node_models[i], f"node{i}", lrs[i])
+        for i in (0, 1)
+    ]
+    plans = {
+        "fedfbn": (Strategy.FEDFBN, pair),
+        "fedavg": (Strategy.FEDAVG, pair),
+        "fedbn": (Strategy.FEDBN, pair),
+        "local_node0": (Strategy.FEDAVG, pair[:1]),
+        "local_node1": (Strategy.FEDAVG, pair[1:]),
+        "centralized": (
+            Strategy.FEDAVG,
+            [(0, data.pooled_train, data.pooled_val, central_model, "centralized", cfg.lr)],
+        ),
+    }
+    if arm not in plans:
         raise ConfigError(f"unknown arm '{arm}'")
+    strategy, rows = plans[arm]
+    nodes = [
+        Node(
+            node_id=node_id,
+            train=train,
+            val=val,
+            model=model_copy(model),
+            rng=master.child(f"batches:{stream}"),
+            lr=lr,
+            batch_size=cfg.batch_size,
+        )
+        for node_id, train, val, model, stream, lr in rows
+    ]
 
     fed = run_federation(
         nodes,
@@ -391,42 +379,32 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         lr=cfg.pretrain_lr,
         batch_size=cfg.batch_size,
     )
-    node_models = []
-    for i in (0, 1):
-        model = with_heads(backbone, data.node_labels[i], master.child("heads"))
+    # warmed start models: (name, labels, warm-up data); the name keys the
+    # warm-up stream and the start-model hash
+    warmed: dict[str, Model] = {}
+    for name, labels, train in (
+        ("node0", data.node_labels[0], data.node_train[0]),
+        ("node1", data.node_labels[1], data.node_train[1]),
+        ("centralized", data.pooled_train.label_names, data.pooled_train),
+    ):
+        model = with_heads(backbone, labels, master.child("heads"))
         if cfg.warmup_epochs > 0:
             warmup_heads(
                 model,
-                data.node_train[i].features,
-                data.node_train[i].labels,
-                data.node_train[i].mask,
+                train.features,
+                train.labels,
+                train.mask,
                 epochs=cfg.warmup_epochs,
-                rng=master.child(f"warmup:node{i}"),
+                rng=master.child(f"warmup:{name}"),
                 lr=cfg.warmup_lr,
                 batch_size=cfg.batch_size,
             )
-        node_models.append(model)
-    central_model = with_heads(
-        backbone, data.pooled_train.label_names, master.child("heads")
-    )
-    if cfg.warmup_epochs > 0:
-        warmup_heads(
-            central_model,
-            data.pooled_train.features,
-            data.pooled_train.labels,
-            data.pooled_train.mask,
-            epochs=cfg.warmup_epochs,
-            rng=master.child("warmup:centralized"),
-            lr=cfg.warmup_lr,
-            batch_size=cfg.batch_size,
-        )
+        warmed[name] = model
+    node_models = [warmed["node0"], warmed["node1"]]
+    central_model = warmed["centralized"]
 
     dataset_hashes = data.content_hashes()
-    start_hashes = {
-        "node0": model_hash(node_models[0]),
-        "node1": model_hash(node_models[1]),
-        "centralized": model_hash(central_model),
-    }
+    start_hashes = {name: model_hash(m) for name, m in warmed.items()}
 
     arms: dict[str, ArmResult] = {}
     for arm in cfg.arms:
@@ -442,12 +420,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
 
     if data.content_hashes() != dataset_hashes:
         raise ProtocolError("an arm mutated the shared datasets")
-    end_hashes = {
-        "node0": model_hash(node_models[0]),
-        "node1": model_hash(node_models[1]),
-        "centralized": model_hash(central_model),
-    }
-    if end_hashes != start_hashes:
+    if {name: model_hash(m) for name, m in warmed.items()} != start_hashes:
         raise ProtocolError("an arm mutated the shared warmed models")
 
     return ExperimentResult(
@@ -589,14 +562,18 @@ def _rounds_csv(result: ArmResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[str]:
     """Write every run artifact; returns the relative file names written."""
     os.makedirs(out_dir, exist_ok=True)
     files: list[str] = []
 
     def _write(name: str, text: str) -> None:
-        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(os.path.join(out_dir, name), text)
         files.append(name)
 
     _write("config.ini", config_text)
@@ -625,7 +602,7 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
         "schema_version": 1,
         "scenario": result.config.scenario,
         "seed": result.config.seed,
-        "config_sha256": hashlib.sha256(config_text.encode("utf-8")).hexdigest(),
+        "config_sha256": config_digest(config_text),
         "arms": list(result.config.arms),
         "arm_errors": errors,
         "dataset_hashes": result.dataset_hashes,
@@ -639,6 +616,48 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
     return sorted(files)
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # bool is not a number here
+
+
+def _list_of(ok):
+    return lambda v: isinstance(v, list) and all(map(ok, v))
+
+
+# Every envelope and report key render_tables reads, with what it must hold.
+_ENVELOPE_FIELDS = {
+    **{
+        key: ("a string", lambda v: isinstance(v, str))
+        for key in ("arm", "variant", "test_set", "view")
+    },
+    "report": ("an object", lambda v: isinstance(v, dict)),
+}
+_REPORT_FIELDS = {
+    "mean_auroc": ("a number", _is_number),
+    "ci95": ("a pair of numbers", lambda v: _list_of(_is_number)(v) and len(v) == 2),
+    "n_bootstrap": ("an integer", lambda v: type(v) is int),
+    "undefined_labels": ("a list of strings", _list_of(lambda x: isinstance(x, str))),
+    "per_replicate_means": ("a list of numbers", _list_of(_is_number)),
+    "per_label_auroc": (
+        "an object of numbers or nulls",
+        lambda v: isinstance(v, dict) and all(x is None or _is_number(x) for x in v.values()),
+    ),
+}
+
+
+def _check_envelope(env, path) -> None:
+    """ParseError naming the file and key unless render_tables can read ``env``."""
+    if not isinstance(env, dict):
+        raise ParseError(f"{path}: envelope is not a JSON object")
+    if env.get("schema_version") != ENVELOPE_SCHEMA_VERSION:
+        raise ParseError(f"{path}: unsupported envelope schema")
+    for prefix, fields in (("", _ENVELOPE_FIELDS), ("report.", _REPORT_FIELDS)):
+        doc = env["report"] if prefix else env
+        for key, (want, ok) in fields.items():
+            if key not in doc or not ok(doc[key]):
+                raise ParseError(f"{path}: envelope key '{prefix}{key}' must be {want}")
+
+
 def load_envelopes(in_dir) -> list[dict]:
     envelopes = []
     for name in sorted(os.listdir(in_dir)):
@@ -648,10 +667,9 @@ def load_envelopes(in_dir) -> list[dict]:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 env = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
                 raise ParseError(f"{path}: invalid JSON: {exc}") from None
-        if env.get("schema_version") != ENVELOPE_SCHEMA_VERSION:
-            raise ParseError(f"{path}: unsupported envelope schema")
+        _check_envelope(env, path)
         envelopes.append(env)
     if not envelopes:
         raise ParseError(f"{in_dir}: no {REPORT_PREFIX}*.json files found")
@@ -662,8 +680,7 @@ def rerender_reports(in_dir) -> list[str]:
     """Rebuild summary and per-label tables from the report JSONs."""
     tables = render_tables(load_envelopes(in_dir))
     for name, text in tables.items():
-        with open(os.path.join(in_dir, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_text(os.path.join(in_dir, name), text)
     return sorted(tables)
 
 
@@ -696,9 +713,8 @@ def write_datasets(cfg: ExperimentConfig, out_dir) -> list[str]:
         "seed": cfg.seed,
         "datasets": index,
     }
-    with open(
-        os.path.join(out_dir, "datasets.json"), "w", encoding="utf-8", newline=""
-    ) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _write_text(
+        os.path.join(out_dir, "datasets.json"), json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    )
     files.append("datasets.json")
     return sorted(files)

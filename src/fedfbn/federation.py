@@ -27,28 +27,26 @@ from enum import Enum
 
 import numpy as np
 
-from . import checkpoint
 from .errors import (
     ConfigError,
     DataError,
     FrozenStatsError,
     LabelError,
     NodeFailure,
-    ParseError,
     ProtocolError,
     ShapeError,
 )
 from .metrics import EvalReport, bootstrap_ci
 from .network import (
-    BnParams,
     BnPolicy,
-    DenseParams,
     HEAD_PREFIX,
     HEADS,
     Model,
     ModelSpec,
     REPRESENTATION,
     evaluate_loss,
+    key_kind,
+    param_shapes,
     predict,
     train_epochs,
 )
@@ -68,19 +66,7 @@ class Weighting(str, Enum):
 
 def _tensors_equal(a: Tensor, b: Tensor) -> bool:
     """Bitwise equality (distinguishes -0.0 from 0.0, NaN payloads, ...)."""
-    if a.shape != b.shape:
-        return False
-    return (
-        np.ascontiguousarray(a, dtype="<f8").tobytes()
-        == np.ascontiguousarray(b, dtype="<f8").tobytes()
-    )
-
-
-def _copy_tree(entries: dict[str, dict[str, Tensor]]) -> dict[str, dict[str, Tensor]]:
-    return {
-        layer: {name: t.copy() for name, t in tensors.items()}
-        for layer, tensors in entries.items()
-    }
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @dataclass
@@ -90,57 +76,19 @@ class ParameterBundle:
     node_id: int
     round_index: int
     sample_count: int
-    entries: dict[str, dict[str, Tensor]]
+    entries: dict[str, Tensor]
     head_labels: tuple[str, ...]
-
-    def representation_only(self) -> "ParameterBundle":
-        rep = {
-            layer: tensors
-            for layer, tensors in self.entries.items()
-            if not layer.startswith(HEAD_PREFIX)
-        }
-        return ParameterBundle(
-            node_id=self.node_id,
-            round_index=self.round_index,
-            sample_count=self.sample_count,
-            entries=_copy_tree(rep),
-            head_labels=(),
-        )
-
-    def bn_layers(self) -> dict[str, dict[str, Tensor]]:
-        return {
-            layer: tensors
-            for layer, tensors in self.entries.items()
-            if "running_mean" in tensors
-        }
 
 
 def extract_bundle(
     model: Model, node_id: int, round_index: int, sample_count: int
 ) -> ParameterBundle:
-    """Deep-copy a model's tensors into a bundle."""
-    entries: dict[str, dict[str, Tensor]] = {}
-    for name, params in model.layers.items():
-        if isinstance(params, DenseParams):
-            entries[name] = {"weight": params.weight.copy(), "bias": params.bias.copy()}
-        else:
-            entries[name] = {
-                "gamma": params.gamma.copy(),
-                "beta": params.beta.copy(),
-                "running_mean": params.running_mean.copy(),
-                "running_var": params.running_var.copy(),
-            }
-    for label in model.spec.label_names:
-        head = model.heads[label]
-        entries[f"{HEAD_PREFIX}{label}"] = {
-            "weight": head.weight.copy(),
-            "bias": head.bias.copy(),
-        }
+    """Copy a model's parameter map into a bundle."""
     return ParameterBundle(
         node_id=node_id,
         round_index=round_index,
         sample_count=sample_count,
-        entries=entries,
+        entries={key: value.copy() for key, value in model.params.items()},
         head_labels=model.spec.label_names,
     )
 
@@ -159,21 +107,6 @@ def _weights(bundles: list[ParameterBundle], weighting: Weighting) -> dict[int, 
     return {b.node_id: b.sample_count / total for b in bundles}
 
 
-def _weighted_mean(
-    items: list[tuple[int, Tensor]], weights: dict[int, float]
-) -> Tensor:
-    """Fixed-order multiply-accumulate; items must be sorted by node id."""
-    first_id, first = items[0]
-    acc = weights[first_id] * first
-    for node_id, tensor in items[1:]:
-        if tensor.shape != first.shape:
-            raise ShapeError(
-                f"tensor shape mismatch across nodes: {tensor.shape} vs {first.shape}"
-            )
-        acc = acc + weights[node_id] * tensor
-    return acc
-
-
 def _validate_bundles(bundles: list[ParameterBundle]) -> list[ParameterBundle]:
     if not bundles:
         raise ProtocolError("aggregate needs at least one bundle")
@@ -184,41 +117,104 @@ def _validate_bundles(bundles: list[ParameterBundle]) -> list[ParameterBundle]:
     rounds = {b.round_index for b in ordered}
     if len(rounds) != 1:
         raise ProtocolError(f"bundles span multiple rounds: {sorted(rounds)}")
-    rep_keys = [
-        tuple(k for k in b.entries if not k.startswith(HEAD_PREFIX)) for b in ordered
+    trunk_keys = [
+        tuple(k for k in b.entries if key_kind(k) != "head") for b in ordered
     ]
-    if any(keys != rep_keys[0] for keys in rep_keys[1:]):
+    if any(keys != trunk_keys[0] for keys in trunk_keys[1:]):
         raise ProtocolError("representation layer sets differ across bundles")
     return ordered
 
 
+# Aggregation rules. Each combines one key across the bundles that hold it
+# (sorted by node id); all accumulate in that fixed order.
+
+
+def _mean(key: str, bundles: list[ParameterBundle], weights: dict[int, float]) -> Tensor:
+    """Weighted mean, multiply-accumulate in ascending node id."""
+    first = bundles[0].entries[key]
+    acc = weights[bundles[0].node_id] * first
+    for b in bundles[1:]:
+        tensor = b.entries[key]
+        if tensor.shape != first.shape:
+            raise ShapeError(
+                f"tensor shape mismatch across nodes: {tensor.shape} vs {first.shape}"
+            )
+        acc = acc + weights[b.node_id] * tensor
+    return acc
+
+
+def _frozen(key: str, bundles: list[ParameterBundle], weights: dict[int, float]) -> Tensor:
+    """Frozen BN: demand bitwise agreement, then carry the value through.
+
+    A float mean of identical tensors would not be exact.
+    """
+    reference = bundles[0].entries[key]
+    for b in bundles[1:]:
+        if not _tensors_equal(b.entries[key], reference):
+            raise FrozenStatsError(
+                f"frozen batch-norm tensor {key} differs between node "
+                f"{bundles[0].node_id} and node {b.node_id}"
+            )
+    return reference.copy()
+
+
+def _owner_mean(
+    key: str, owners: list[ParameterBundle], weights: dict[int, float]
+) -> Tensor:
+    """Mean over the owners, weights renormalized to sum to one.
+
+    Bit-identical owners short-circuit to a copy, so agreeing nodes cannot
+    drift through arithmetic.
+    """
+    first = owners[0].entries[key]
+    if all(_tensors_equal(b.entries[key], first) for b in owners[1:]):
+        return first.copy()
+    wsum = sum(weights[b.node_id] for b in owners)
+    return _mean(key, owners, {b.node_id: weights[b.node_id] / wsum for b in owners})
+
+
+# What the server does with each trunk tensor kind under each strategy;
+# None keeps the tensor on its node. Heads always use _owner_mean.
+RULES = {
+    Strategy.FEDAVG: {"dense": _mean, "bn": _mean},
+    Strategy.FEDBN: {"dense": _mean, "bn": None},
+    Strategy.FEDFBN: {"dense": _mean, "bn": _frozen},
+}
+
+
 @dataclass
 class GlobalModel:
-    """Server-side model; per-node only in its FEDBN batch-norm layers."""
+    """Server-side model: one shared parameter map, plus FEDBN's per-node BN.
+
+    ``params`` holds every shared key (trunk, then heads in label order);
+    under FEDBN the batch-norm keys live in ``per_node_bn[node_id]``
+    instead.
+    """
 
     spec: ModelSpec
-    representation: dict[str, dict[str, Tensor]]
-    heads: dict[str, dict[str, Tensor]]
+    params: dict[str, Tensor]
     node_labels: dict[int, tuple[str, ...]]
     strategy: Strategy
     round_index: int
-    per_node_bn: dict[int, dict[str, dict[str, Tensor]]] | None = None
+    per_node_bn: dict[int, dict[str, Tensor]] | None = None
 
     @property
     def label_names(self) -> tuple[str, ...]:
         return self.spec.label_names
 
     def materialize(self, labels, node_id: int | None = None) -> Model:
-        """Build a concrete model for a label view (deep copies throughout).
+        """Build a concrete model for a label view (copies throughout).
 
-        Under FEDBN a node_id must name whose batch-norm layers to use.
+        Under FEDBN a node_id must name whose batch-norm layers to use;
+        other strategies ignore it.
         """
         labels = tuple(labels)
         if not labels:
             raise LabelError("materialize needs at least one label")
-        missing = [l for l in labels if l not in self.heads]
+        missing = [l for l in labels if l not in self.label_names]
         if missing:
             raise LabelError(f"global model has no head for {missing}")
+        source = self.params
         if self.per_node_bn is not None:
             if node_id is None:
                 raise ProtocolError(
@@ -226,75 +222,31 @@ class GlobalModel:
                 )
             if node_id not in self.per_node_bn:
                 raise ProtocolError(f"no batch-norm layers stored for node {node_id}")
-        layers: dict[str, DenseParams | BnParams] = {}
-        for i in range(len(self.spec.hidden_dims)):
-            dense = self.representation[f"dense{i}"]
-            layers[f"dense{i}"] = DenseParams(
-                weight=dense["weight"].copy(), bias=dense["bias"].copy()
-            )
-            if self.per_node_bn is None:
-                bn = self.representation[f"bn{i}"]
-            else:
-                bn = self.per_node_bn[node_id][f"bn{i}"]
-            layers[f"bn{i}"] = BnParams(
-                gamma=bn["gamma"].copy(),
-                beta=bn["beta"].copy(),
-                running_mean=bn["running_mean"].copy(),
-                running_var=bn["running_var"].copy(),
-            )
-        heads = {
-            label: DenseParams(
-                weight=self.heads[label]["weight"].copy(),
-                bias=self.heads[label]["bias"].copy(),
-            )
-            for label in labels
-        }
+            source = {**self.params, **self.per_node_bn[node_id]}
+        spec = replace(self.spec, label_names=labels)
         return Model(
-            spec=replace(self.spec, label_names=labels), layers=layers, heads=heads
+            spec=spec, params={key: source[key].copy() for key in param_shapes(spec)}
         )
 
 
 def merge_heads(
     bundles: list[ParameterBundle], weights: dict[int, float]
-) -> tuple[dict[str, dict[str, Tensor]], tuple[str, ...]]:
-    """Union the label sets; copy solo heads, average shared ones.
+) -> tuple[dict[str, Tensor], tuple[str, ...]]:
+    """Union the label sets and merge every head key over its owners.
 
-    Shared-head weights are the owners' aggregation weights renormalized
-    to sum to one. Owners with bit-identical tensors short-circuit to a
-    copy, so agreeing nodes cannot drift through arithmetic.
+    Returns the merged head keys (in union label order) and the union,
+    labels in order of first appearance.
     """
-    union: list[str] = []
     owners: dict[str, list[ParameterBundle]] = {}
     for b in bundles:
         for label in b.head_labels:
-            if label not in owners:
-                owners[label] = []
-                union.append(label)
-            owners[label].append(b)
-    merged: dict[str, dict[str, Tensor]] = {}
-    for label in union:
-        own = owners[label]
-        tensor_sets = [b.entries[f"{HEAD_PREFIX}{label}"] for b in own]
-        if len(own) == 1 or all(
-            _tensors_equal(ts["weight"], tensor_sets[0]["weight"])
-            and _tensors_equal(ts["bias"], tensor_sets[0]["bias"])
-            for ts in tensor_sets[1:]
-        ):
-            merged[label] = {
-                "weight": tensor_sets[0]["weight"].copy(),
-                "bias": tensor_sets[0]["bias"].copy(),
-            }
-            continue
-        wsum = sum(weights[b.node_id] for b in own)
-        local = {b.node_id: weights[b.node_id] / wsum for b in own}
-        merged[label] = {
-            name: _weighted_mean(
-                [(b.node_id, b.entries[f"{HEAD_PREFIX}{label}"][name]) for b in own],
-                local,
-            )
-            for name in ("weight", "bias")
-        }
-    return merged, tuple(union)
+            owners.setdefault(label, []).append(b)
+    merged = {
+        key: _owner_mean(key, own, weights)
+        for label, own in owners.items()
+        for key in (f"{HEAD_PREFIX}{label}/weight", f"{HEAD_PREFIX}{label}/bias")
+    }
+    return merged, tuple(owners)
 
 
 def aggregate(
@@ -306,46 +258,26 @@ def aggregate(
     """Combine one round's bundles into a global model."""
     ordered = _validate_bundles(bundles)
     weights = _weights(ordered, weighting)
+    rules = RULES[strategy]
 
-    representation: dict[str, dict[str, Tensor]] = {}
-    per_node_bn: dict[int, dict[str, dict[str, Tensor]]] | None = None
-    rep_layers = [
-        k for k in ordered[0].entries if not k.startswith(HEAD_PREFIX)
-    ]
-    for layer in rep_layers:
-        tensor_names = list(ordered[0].entries[layer])
-        is_bn = "running_mean" in tensor_names
-        if is_bn and strategy is Strategy.FEDBN:
+    params: dict[str, Tensor] = {}
+    per_node_bn = {b.node_id: {} for b in ordered} if strategy is Strategy.FEDBN else None
+    for key in ordered[0].entries:
+        kind = key_kind(key)
+        if kind == "head":
             continue
-        if is_bn and strategy is Strategy.FEDFBN:
-            # Frozen BN: demand bitwise agreement, then carry the value
-            # through untouched. A float mean would not be exact.
-            reference = ordered[0].entries[layer]
-            for b in ordered[1:]:
-                for name in tensor_names:
-                    if not _tensors_equal(b.entries[layer][name], reference[name]):
-                        raise FrozenStatsError(
-                            f"frozen batch-norm tensor {layer}/{name} differs "
-                            f"between node {ordered[0].node_id} and node "
-                            f"{b.node_id}"
-                        )
-            representation[layer] = {n: reference[n].copy() for n in tensor_names}
+        rule = rules[kind]
+        if rule is not None:
+            params[key] = rule(key, ordered, weights)
             continue
-        representation[layer] = {
-            name: _weighted_mean(
-                [(b.node_id, b.entries[layer][name]) for b in ordered], weights
-            )
-            for name in tensor_names
-        }
-
-    if strategy is Strategy.FEDBN:
-        per_node_bn = {b.node_id: _copy_tree(b.bn_layers()) for b in ordered}
+        for b in ordered:
+            per_node_bn[b.node_id][key] = b.entries[key].copy()
 
     heads, union = merge_heads(ordered, weights)
+    params.update(heads)
     return GlobalModel(
         spec=replace(spec, label_names=union),
-        representation=representation,
-        heads=heads,
+        params=params,
         node_labels={b.node_id: b.head_labels for b in ordered},
         strategy=strategy,
         round_index=ordered[0].round_index,
@@ -372,10 +304,6 @@ class Node:
     @property
     def label_names(self) -> tuple[str, ...]:
         return self.model.spec.label_names
-
-    @property
-    def n_train(self) -> int:
-        return self.train.features.shape[0]
 
 
 def _check_node_data(node: Node) -> None:
@@ -477,17 +405,14 @@ def run_federation(
                 raise NodeFailure(node.node_id, r, exc) from exc
 
         bundles = [
-            extract_bundle(node.model, node.node_id, r, node.n_train)
+            extract_bundle(node.model, node.node_id, r, node.train.features.shape[0])
             for node in ordered
         ]
         latest = aggregate(bundles, strategy, base, weighting)
 
         val_losses: dict[int, float] = {}
         for node in ordered:
-            node.model = latest.materialize(
-                node.label_names,
-                node_id=node.node_id if latest.per_node_bn is not None else None,
-            )
+            node.model = latest.materialize(node.label_names, node_id=node.node_id)
             val_losses[node.node_id] = evaluate_loss(
                 node.model, node.val.features, node.val.labels, node.val.mask
             )
@@ -538,16 +463,14 @@ def evaluate_global(
     proj = ds.project_labels(labels)
     if ((proj.labels == -1.0) & (proj.mask == 1.0)).any():
         raise DataError("evaluation labels must be recoded (u-zeros) first")
-    usable = set(gm.heads if allowed_heads is None else allowed_heads)
-    absent = [l for l in labels if l not in gm.heads or l not in usable]
+    usable = set(gm.label_names if allowed_heads is None else allowed_heads)
+    absent = [l for l in labels if l not in gm.label_names or l not in usable]
     if absent and missing != "chance":
         raise LabelError(f"model has no usable head for {absent}")
-    present = [l for l in labels if l in gm.heads and l in usable]
+    present = [l for l in labels if l in gm.label_names and l in usable]
     if not present:
         raise LabelError("no requested label has a trained head")
-    model = gm.materialize(
-        present, node_id=node_id if gm.per_node_bn is not None else None
-    )
+    model = gm.materialize(present, node_id=node_id)
     probs = predict(model, proj.features)
     scores = np.full((proj.features.shape[0], len(labels)), 0.5)
     col = {l: j for j, l in enumerate(labels)}
@@ -555,66 +478,4 @@ def evaluate_global(
         scores[:, col[label]] = probs[:, k]
     return bootstrap_ci(
         scores, proj.labels, proj.mask, list(labels), rng, n_bootstrap
-    )
-
-
-def save_global(gm: GlobalModel, path) -> None:
-    """Checkpoint a global model (kind "global"), bit-exact round-trip."""
-    tensors: dict[str, Tensor] = {}
-    for layer, ts in gm.representation.items():
-        for name, value in ts.items():
-            tensors[f"rep/{layer}/{name}"] = value
-    if gm.per_node_bn is not None:
-        for node_id, bn_layers in sorted(gm.per_node_bn.items()):
-            for layer, ts in bn_layers.items():
-                for name, value in ts.items():
-                    tensors[f"node_bn/{node_id}/{layer}/{name}"] = value
-    for label, ts in gm.heads.items():
-        for name, value in ts.items():
-            tensors[f"head/{label}/{name}"] = value
-    meta = {
-        "spec": checkpoint.spec_meta(gm.spec),
-        "strategy": gm.strategy.value,
-        "round_index": gm.round_index,
-        "node_labels": {str(i): list(v) for i, v in gm.node_labels.items()},
-        "bn_nodes": (
-            sorted(gm.per_node_bn) if gm.per_node_bn is not None else None
-        ),
-    }
-    checkpoint.write_archive(path, "global", meta, tensors)
-
-
-def load_global(path) -> GlobalModel:
-    kind, meta, tensors = checkpoint.read_archive(path)
-    if kind != "global":
-        raise ParseError(f"{path}: expected a global checkpoint, got '{kind}'")
-    spec = checkpoint.spec_from_meta(meta.get("spec", {}))
-    representation: dict[str, dict[str, Tensor]] = {}
-    per_node_bn: dict[int, dict[str, dict[str, Tensor]]] | None = None
-    if meta.get("bn_nodes") is not None:
-        per_node_bn = {int(i): {} for i in meta["bn_nodes"]}
-    heads: dict[str, dict[str, Tensor]] = {}
-    for key, value in tensors.items():
-        parts = key.split("/")
-        if parts[0] == "rep" and len(parts) == 3:
-            representation.setdefault(parts[1], {})[parts[2]] = value
-        elif parts[0] == "node_bn" and len(parts) == 4 and per_node_bn is not None:
-            per_node_bn.setdefault(int(parts[1]), {}).setdefault(parts[2], {})[
-                parts[3]
-            ] = value
-        elif parts[0] == "head" and len(parts) >= 3:
-            # label names may themselves contain '/'
-            heads.setdefault("/".join(parts[1:-1]), {})[parts[-1]] = value
-        else:
-            raise ParseError(f"{path}: unexpected tensor key '{key}'")
-    return GlobalModel(
-        spec=spec,
-        representation=representation,
-        heads=heads,
-        node_labels={
-            int(i): tuple(v) for i, v in meta.get("node_labels", {}).items()
-        },
-        strategy=Strategy(meta["strategy"]),
-        round_index=int(meta["round_index"]),
-        per_node_bn=per_node_bn,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -60,66 +60,59 @@ class ModelSpec:
             raise ConfigError("bn_eps must be positive")
 
 
-@dataclass
-class DenseParams:
-    weight: Tensor
-    bias: Tensor
-
-
-@dataclass
-class BnParams:
-    gamma: Tensor
-    beta: Tensor
-    running_mean: Tensor
-    running_var: Tensor
+BN_TENSORS = ("gamma", "beta", "running_mean", "running_var")
 
 
 @dataclass
 class Model:
     """Parameters plus the ModelSpec they were built for.
 
-    ``layers`` holds the representation in forward order (dense0, bn0,
-    dense1, bn1, ...); ``heads`` maps label name -> dense head. The
-    ModelSpec's label_names fixes head/output ordering.
+    ``params`` is the flat parameter map: ``dense{i}/weight|bias`` and
+    ``bn{i}/gamma|beta|running_mean|running_var`` in forward order, then
+    ``head:<label>/weight|bias`` in the spec's label order (see
+    ``param_shapes``).
     """
 
     spec: ModelSpec
-    layers: dict[str, DenseParams | BnParams] = field(default_factory=dict)
-    heads: dict[str, DenseParams] = field(default_factory=dict)
-
-    @property
-    def label_names(self) -> tuple[str, ...]:
-        return self.spec.label_names
-
-    @property
-    def hidden_width(self) -> int:
-        """Width the heads consume: last hidden layer, or the raw inputs."""
-        if self.spec.hidden_dims:
-            return self.spec.hidden_dims[-1]
-        return self.spec.input_dim
+    params: dict[str, Tensor]
 
 
-def layer_block(name: str) -> str:
-    """Which learning-rate block a layer belongs to."""
-    return HEADS if name.startswith(HEAD_PREFIX) else REPRESENTATION
+def key_kind(key: str) -> str:
+    """The tensor kind aggregation rules tell apart: "dense", "bn" or "head"."""
+    if key.startswith(HEAD_PREFIX):
+        return "head"
+    return "bn" if key.startswith("bn") else "dense"
 
 
-def bn_layer_names(model: Model) -> list[str]:
-    return [n for n, p in model.layers.items() if isinstance(p, BnParams)]
+def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
+    """Every parameter key of ``spec`` with its shape, in canonical order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    fan_in = spec.input_dim
+    for i, width in enumerate(spec.hidden_dims):
+        shapes[f"dense{i}/weight"] = (fan_in, width)
+        shapes[f"dense{i}/bias"] = (width,)
+        for name in BN_TENSORS:
+            shapes[f"bn{i}/{name}"] = (width,)
+        fan_in = width
+    for label in spec.label_names:
+        shapes[f"{HEAD_PREFIX}{label}/weight"] = (fan_in, 1)
+        shapes[f"{HEAD_PREFIX}{label}/bias"] = (1,)
+    return shapes
 
 
 def model_copy(model: Model) -> Model:
     return copy.deepcopy(model)
 
 
-def _init_dense(stream: RngStream, fan_in: int, fan_out: int) -> DenseParams:
-    bound = math.sqrt(2.0 / fan_in)
-    weight = stream.uniform(-bound, bound, (fan_in, fan_out))
-    return DenseParams(weight=weight, bias=np.zeros(fan_out))
-
-
-def _init_head(rng: RngStream, label: str, width: int) -> DenseParams:
-    return _init_dense(rng.child(f"init:{HEAD_PREFIX}{label}"), width, 1)
+def _init_tensor(rng: RngStream, key: str, shape: tuple[int, ...]) -> Tensor:
+    """He-uniform weights from a stream keyed by the layer; BN identity."""
+    layer, name = key.rsplit("/", 1)
+    if name == "weight":
+        bound = math.sqrt(2.0 / shape[0])
+        return rng.child(f"init:{layer}").uniform(-bound, bound, shape)
+    if name in ("gamma", "running_var"):
+        return np.ones(shape)
+    return np.zeros(shape)
 
 
 def init_model(spec: ModelSpec, rng: RngStream) -> Model:
@@ -129,21 +122,13 @@ def init_model(spec: ModelSpec, rng: RngStream) -> Model:
     so the representation init is independent of the label list and any
     two models sharing a label (and seed) start with identical heads.
     """
-    layers: dict[str, DenseParams | BnParams] = {}
-    fan_in = spec.input_dim
-    for i, width in enumerate(spec.hidden_dims):
-        layers[f"dense{i}"] = _init_dense(rng.child(f"init:dense{i}"), fan_in, width)
-        layers[f"bn{i}"] = BnParams(
-            gamma=np.ones(width),
-            beta=np.zeros(width),
-            running_mean=np.zeros(width),
-            running_var=np.ones(width),
-        )
-        fan_in = width
-    heads = {
-        label: _init_head(rng, label, fan_in) for label in spec.label_names
-    }
-    return Model(spec=spec, layers=layers, heads=heads)
+    return Model(
+        spec=spec,
+        params={
+            key: _init_tensor(rng, key, shape)
+            for key, shape in param_shapes(spec).items()
+        },
+    )
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -171,14 +156,13 @@ def _forward(model: Model, x: Tensor, train: bool, policy: BnPolicy):
     """
     x = _check_input(model, x)
     spec = model.spec
+    p = model.params
     h = x
     caches: dict[str, dict] = {}
     for i in range(len(spec.hidden_dims)):
-        dense = model.layers[f"dense{i}"]
-        pre = h @ dense.weight + dense.bias
+        pre = h @ p[f"dense{i}/weight"] + p[f"dense{i}/bias"]
         caches[f"dense{i}"] = {"in": h}
 
-        bn = model.layers[f"bn{i}"]
         use_batch = train and policy is BnPolicy.NORMAL
         if use_batch:
             if pre.shape[0] < 2:
@@ -188,13 +172,13 @@ def _forward(model: Model, x: Tensor, train: bool, policy: BnPolicy):
                 )
             mean, var = batch_stats(pre)
             m = spec.bn_momentum
-            bn.running_mean = (1.0 - m) * bn.running_mean + m * mean
-            bn.running_var = (1.0 - m) * bn.running_var + m * var
+            p[f"bn{i}/running_mean"] = (1.0 - m) * p[f"bn{i}/running_mean"] + m * mean
+            p[f"bn{i}/running_var"] = (1.0 - m) * p[f"bn{i}/running_var"] + m * var
         else:
-            mean, var = bn.running_mean, bn.running_var
+            mean, var = p[f"bn{i}/running_mean"], p[f"bn{i}/running_var"]
         inv_std = 1.0 / np.sqrt(var + spec.bn_eps)
         xn = (pre - mean) * inv_std
-        out = bn.gamma * xn + bn.beta
+        out = p[f"bn{i}/gamma"] * xn + p[f"bn{i}/beta"]
         caches[f"bn{i}"] = {
             "pre": pre,
             "xn": xn,
@@ -208,8 +192,8 @@ def _forward(model: Model, x: Tensor, train: bool, policy: BnPolicy):
 
     logits = np.empty((x.shape[0], len(spec.label_names)))
     for j, label in enumerate(spec.label_names):
-        head = model.heads[label]
-        logits[:, j : j + 1] = h @ head.weight + head.bias
+        head = f"{HEAD_PREFIX}{label}"
+        logits[:, j : j + 1] = h @ p[f"{head}/weight"] + p[f"{head}/bias"]
     caches["trunk_out"] = h
     check_finite(logits, "logits")
     return logits, caches
@@ -248,13 +232,13 @@ def backward(
     labels: Tensor,
     mask: Tensor,
     policy: BnPolicy,
-) -> tuple[float, dict[str, dict[str, Tensor]]]:
+) -> tuple[float, dict[str, Tensor]]:
     """One training-mode forward/backward pass.
 
-    Returns (loss, grads) where grads maps layer name -> tensor-name ->
-    gradient. Under FROZEN the batch-norm layers contribute no gradient
-    entries and their statistics are left untouched; under NORMAL the
-    running statistics are updated by the embedded forward pass.
+    Returns (loss, grads) where grads maps parameter key -> gradient.
+    Under FROZEN the batch-norm layers contribute no gradient entries and
+    their statistics are left untouched; under NORMAL the running
+    statistics are updated by the embedded forward pass.
     """
     labels = np.asarray(labels, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -268,30 +252,29 @@ def backward(
     # d loss / d logit for sigmoid+BCE fused: (p - y) * mask / n_masked
     dlogits = (probs - labels) * mask / n_masked
 
-    grads: dict[str, dict[str, Tensor]] = {}
+    p = model.params
+    grads: dict[str, Tensor] = {}
     trunk = caches["trunk_out"]
     dh = np.zeros_like(trunk)
     for j, label in enumerate(model.spec.label_names):
-        head = model.heads[label]
+        head = f"{HEAD_PREFIX}{label}"
         dcol = dlogits[:, j : j + 1]
-        grads[f"{HEAD_PREFIX}{label}"] = {
-            "weight": trunk.T @ dcol,
-            "bias": dcol.sum(axis=0),
-        }
-        dh = dh + dcol @ head.weight.T
+        grads[f"{head}/weight"] = trunk.T @ dcol
+        grads[f"{head}/bias"] = dcol.sum(axis=0)
+        dh = dh + dcol @ p[f"{head}/weight"].T
 
     spec = model.spec
     for i in reversed(range(len(spec.hidden_dims))):
         dh = dh * caches[f"relu{i}"]["active"]
 
-        bn = model.layers[f"bn{i}"]
+        gamma = p[f"bn{i}/gamma"]
         c = caches[f"bn{i}"]
         xn, inv_std = c["xn"], c["inv_std"]
         if c["batch"]:
             n = xn.shape[0]
             dgamma = (dh * xn).sum(axis=0)
             dbeta = dh.sum(axis=0)
-            dxn = dh * bn.gamma
+            dxn = dh * gamma
             centered = c["pre"] - c["mean"]
             dvar = (dxn * centered).sum(axis=0) * (-0.5) * inv_std**3
             dmean = (
@@ -299,67 +282,40 @@ def backward(
                 + dvar * (-2.0 / n) * centered.sum(axis=0)
             )
             dpre = dxn * inv_std + dvar * 2.0 * centered / n + dmean / n
-            grads[f"bn{i}"] = {"gamma": dgamma, "beta": dbeta}
+            grads[f"bn{i}/gamma"] = dgamma
+            grads[f"bn{i}/beta"] = dbeta
         else:
-            dpre = dh * bn.gamma * inv_std
+            dpre = dh * gamma * inv_std
 
-        dense = model.layers[f"dense{i}"]
         h_in = caches[f"dense{i}"]["in"]
-        grads[f"dense{i}"] = {
-            "weight": h_in.T @ dpre,
-            "bias": dpre.sum(axis=0),
-        }
-        dh = dpre @ dense.weight.T
+        grads[f"dense{i}/weight"] = h_in.T @ dpre
+        grads[f"dense{i}/bias"] = dpre.sum(axis=0)
+        dh = dpre @ p[f"dense{i}/weight"].T
 
     return loss, grads
 
 
-def _param_tensors(params: DenseParams | BnParams) -> dict[str, Tensor]:
-    if isinstance(params, DenseParams):
-        return {"weight": params.weight, "bias": params.bias}
-    return {
-        "gamma": params.gamma,
-        "beta": params.beta,
-        "running_mean": params.running_mean,
-        "running_var": params.running_var,
-    }
-
-
-def _lookup_params(model: Model, layer: str) -> DenseParams | BnParams:
-    if layer.startswith(HEAD_PREFIX):
-        label = layer[len(HEAD_PREFIX) :]
-        if label not in model.heads:
-            raise ProtocolError(f"gradient for unknown head '{label}'")
-        return model.heads[label]
-    if layer not in model.layers:
-        raise ProtocolError(f"gradient for unknown layer '{layer}'")
-    return model.layers[layer]
-
-
 def sgd_step(
     model: Model,
-    grads: dict[str, dict[str, Tensor]],
+    grads: dict[str, Tensor],
     lr_by_block: dict[str, float],
 ) -> None:
     """In-place SGD update; a block with lr == 0 is skipped exactly."""
     for block in (REPRESENTATION, HEADS):
         if block not in lr_by_block:
             raise ConfigError(f"lr_by_block missing '{block}'")
-    for layer, layer_grads in grads.items():
-        lr = lr_by_block[layer_block(layer)]
+    for key, g in grads.items():
+        lr = lr_by_block[HEADS if key_kind(key) == "head" else REPRESENTATION]
         if lr == 0.0:
             continue
-        params = _lookup_params(model, layer)
-        tensors = _param_tensors(params)
-        for name, g in layer_grads.items():
-            if name not in tensors:
-                raise ProtocolError(f"gradient for unknown tensor {layer}/{name}")
-            if tensors[name].shape != g.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} != parameter shape "
-                    f"{tensors[name].shape} at {layer}/{name}"
-                )
-            tensors[name] -= lr * g
+        param = model.params.get(key)
+        if param is None:
+            raise ProtocolError(f"gradient for unknown parameter '{key}'")
+        if param.shape != g.shape:
+            raise ShapeError(
+                f"gradient shape {g.shape} != parameter shape {param.shape} at {key}"
+            )
+        param -= lr * g
 
 
 def train_epochs(
@@ -462,14 +418,14 @@ def pretrain_backbone(
             batch_size=batch_size,
             rng=rng.child("pretrain-batches"),
         )
-    backbone = Model(
-        spec=replace(spec, label_names=()), layers=model.layers, heads={}
+    return Model(
+        spec=replace(spec, label_names=()),
+        params={k: v for k, v in model.params.items() if key_kind(k) != "head"},
     )
-    return backbone
 
 
 def with_heads(backbone: Model, labels: tuple[str, ...], rng: RngStream) -> Model:
-    """Deep-copy the trunk and attach fresh heads for ``labels``.
+    """Copy the trunk and attach fresh heads for ``labels``.
 
     Head init streams are keyed by label name, so two nodes calling this
     with the same seed get identical heads for every shared label.
@@ -477,7 +433,12 @@ def with_heads(backbone: Model, labels: tuple[str, ...], rng: RngStream) -> Mode
     if len(set(labels)) != len(labels):
         raise ConfigError("duplicate labels in head attachment")
     spec = replace(backbone.spec, label_names=tuple(labels))
-    model = Model(spec=spec, layers=copy.deepcopy(backbone.layers), heads={})
-    for label in labels:
-        model.heads[label] = _init_head(rng, label, model.hidden_width)
-    return model
+    return Model(
+        spec=spec,
+        params={
+            key: backbone.params[key].copy()
+            if key in backbone.params
+            else _init_tensor(rng, key, shape)
+            for key, shape in param_shapes(spec).items()
+        },
+    )

@@ -23,42 +23,10 @@ Tensor = np.ndarray
 _MASK64 = (1 << 64) - 1
 
 
-def as_tensor(values, shape: tuple[int, ...] | None = None) -> Tensor:
-    """Coerce ``values`` to a C-contiguous float64 array, checking finiteness.
-
-    If ``shape`` is given the result is reshaped to it (the element count
-    must match).
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    if shape is not None:
-        if arr.size != int(np.prod(shape)):
-            raise ShapeError(
-                f"cannot view {arr.size} elements as shape {tuple(shape)}"
-            )
-        arr = arr.reshape(shape)
-    check_finite(arr, "as_tensor")
-    return arr
-
-
 def check_finite(arr: Tensor, context: str) -> None:
     """Raise :class:`DataError` if ``arr`` contains NaN or infinity."""
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{context}: non-finite values encountered")
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors with float64 accumulation."""
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(
-            f"matmul expects rank-2 operands, got {a.ndim}-d and {b.ndim}-d"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"matmul inner extents differ: {a.shape} x {b.shape}"
-        )
-    out = a @ b
-    check_finite(out, "matmul")
-    return out
 
 
 def batch_stats(x: Tensor) -> tuple[Tensor, Tensor]:
@@ -141,7 +109,3 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed:#018x}, counter={self.counter})"
 
-
-def derive_stream(parent: RngStream, label: str | bytes) -> RngStream:
-    """Module-level alias for :meth:`RngStream.child`."""
-    return parent.child(label)

@@ -60,15 +60,9 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 # ------------------------------------------------- criterion 1: gradients
 
 
-def _param_tensor(model, layer, tname):
-    if layer.startswith("head:"):
-        return getattr(model.heads[layer[len("head:"):]], tname)
-    return getattr(model.layers[layer], tname)
-
-
-def _fd_loss(model, layer, tname, index, delta, x, y, mask, policy):
+def _fd_loss(model, key, index, delta, x, y, mask, policy):
     probe = model_copy(model)
-    _param_tensor(probe, layer, tname).flat[index] += delta
+    probe.params[key].flat[index] += delta
     loss, _ = backward(probe, x, y, mask, policy)
     return loss
 
@@ -101,19 +95,18 @@ def test_c01_gradients_match_finite_differences():
         if not mask.sum():
             mask[:] = 1.0
         _, grads = backward(model_copy(model), x, y, mask, policy)
-        for layer, tensors in grads.items():
-            for tname, g in tensors.items():
-                for i in range(g.size):
-                    up = _fd_loss(model, layer, tname, i, +h, x, y, mask, policy)
-                    dn = _fd_loss(model, layer, tname, i, -h, x, y, mask, policy)
-                    fd = (up - dn) / (2.0 * h)
-                    a = g.flat[i]
-                    if abs(a) < 1e-6 and abs(fd) < 1e-6:
-                        assert abs(a - fd) < 1e-8, (case, layer, tname, i)
-                        continue
-                    rel = abs(a - fd) / max(abs(a), abs(fd))
-                    worst = max(worst, rel)
-                    assert rel < 1e-4, (case, layer, tname, i, a, fd)
+        for key, g in grads.items():
+            for i in range(g.size):
+                up = _fd_loss(model, key, i, +h, x, y, mask, policy)
+                dn = _fd_loss(model, key, i, -h, x, y, mask, policy)
+                fd = (up - dn) / (2.0 * h)
+                a = g.flat[i]
+                if abs(a) < 1e-6 and abs(fd) < 1e-6:
+                    assert abs(a - fd) < 1e-8, (case, key, i)
+                    continue
+                rel = abs(a - fd) / max(abs(a), abs(fd))
+                worst = max(worst, rel)
+                assert rel < 1e-4, (case, key, i, a, fd)
     elapsed = time.monotonic() - started
     _verdict(1, elapsed < 30.0,
              f"20 gradient instances, worst rel err {worst:.2e}, "
@@ -145,23 +138,25 @@ def test_c02_aggregation_matches_independent_oracles():
     b1 = _bundle(("b", "c"), 1, 12, train_shift=-0.5)
 
     avg = aggregate([b0, b1], Strategy.FEDAVG, AGG_SPEC)
-    for layer, tensors in avg.representation.items():
-        for name, got in tensors.items():
-            want = 0.5 * b0.entries[layer][name]
-            want = want + 0.5 * b1.entries[layer][name]
-            assert np.array_equal(got, want), ("fedavg", layer, name)
+    for key, got in avg.params.items():
+        if key.startswith("head:"):
+            continue
+        want = 0.5 * b0.entries[key]
+        want = want + 0.5 * b1.entries[key]
+        assert np.array_equal(got, want), ("fedavg", key)
 
     bn = aggregate([b0, b1], Strategy.FEDBN, AGG_SPEC)
     for node_id, bundle in ((0, b0), (1, b1)):
-        for layer, tensors in bundle.bn_layers().items():
-            for name, value in tensors.items():
-                stored = bn.per_node_bn[node_id][layer][name]
-                assert stored.tobytes() == value.tobytes(), (layer, name)
-    for layer, tensors in bn.representation.items():
-        for name, got in tensors.items():
-            want = 0.5 * b0.entries[layer][name]
-            want = want + 0.5 * b1.entries[layer][name]
-            assert np.array_equal(got, want), ("fedbn", layer, name)
+        for key, value in bundle.entries.items():
+            if key.startswith("bn"):
+                stored = bn.per_node_bn[node_id][key]
+                assert stored.tobytes() == value.tobytes(), key
+    for key, got in bn.params.items():
+        if key.startswith("head:"):
+            continue
+        want = 0.5 * b0.entries[key]
+        want = want + 0.5 * b1.entries[key]
+        assert np.array_equal(got, want), ("fedbn", key)
 
     rng = RngStream(202)
     pool = tuple(f"l{i}" for i in range(6))
@@ -185,15 +180,14 @@ def test_c02_aggregation_matches_independent_oracles():
             owners = [b for b in bundles if label in b.head_labels]
             total = sum(weights[b.node_id] for b in owners)
             for name in ("weight", "bias"):
+                key = f"head:{label}/{name}"
                 if len(owners) == 1:
-                    want = owners[0].entries[f"head:{label}"][name]
+                    want = owners[0].entries[key]
                 else:
-                    want = (weights[owners[0].node_id] / total) * owners[0].entries[
-                        f"head:{label}"][name]
+                    want = (weights[owners[0].node_id] / total) * owners[0].entries[key]
                     for b in owners[1:]:
-                        want = want + (weights[b.node_id] / total) * b.entries[
-                            f"head:{label}"][name]
-                assert np.array_equal(heads[label][name], want), (case, label)
+                        want = want + (weights[b.node_id] / total) * b.entries[key]
+                assert np.array_equal(heads[key], want), (case, label)
     _verdict(2, True, "FedAvg/FedBN mean oracles exact; "
                       "head merge matches on 100 random topologies")
 
@@ -213,8 +207,9 @@ def test_c03_fedfbn_keeps_bn_at_pretrained_values_every_round():
         epochs=2, rng=master.child("pretrain"), lr=1e-2, batch_size=16,
     )
     frozen = {
-        layer: {name: value.tobytes() for name, value in tensors.items()}
-        for layer, tensors in extract_bundle(trunk, 0, 0, 1).bn_layers().items()
+        key: value.tobytes()
+        for key, value in extract_bundle(trunk, 0, 0, 1).entries.items()
+        if key.startswith("bn")
     }
 
     def node(node_id, labels, shift):
@@ -243,19 +238,18 @@ def test_c03_fedfbn_keeps_bn_at_pretrained_values_every_round():
 
     def check(report):
         for n in nodes:
-            got = extract_bundle(n.model, n.node_id, 0, 1).bn_layers()
-            for layer, tensors in got.items():
-                for name, value in tensors.items():
-                    assert value.tobytes() == frozen[layer][name], (
-                        report.round_index, n.node_id, layer, name)
+            got = extract_bundle(n.model, n.node_id, 0, 1).entries
+            for key, value in got.items():
+                if key.startswith("bn"):
+                    assert value.tobytes() == frozen[key], (
+                        report.round_index, n.node_id, key)
         rounds_checked.append(report.round_index)
 
     fed = run_federation(nodes, Strategy.FEDFBN, rounds=30, on_round=check)
     assert rounds_checked == list(range(30))
     for gm in (fed.best, fed.final):
-        for layer in frozen:
-            for name, blob in frozen[layer].items():
-                assert gm.representation[layer][name].tobytes() == blob
+        for key, blob in frozen.items():
+            assert gm.params[key].tobytes() == blob
     _verdict(3, True, "30 rounds x 2 nodes: every BN tensor bit-equal "
                       "to its pretrained value at every round")
 

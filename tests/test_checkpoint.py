@@ -1,4 +1,4 @@
-"""Checkpoint container format and bit-exact model round-trips."""
+"""Checkpoint container format and bit-exact global-model round-trips."""
 
 import json
 import struct
@@ -8,13 +8,13 @@ import pytest
 
 from fedfbn.checkpoint import (
     MAGIC,
-    load_model,
-    model_tensors,
+    load_global,
     read_archive,
-    save_model,
+    save_global,
     write_archive,
 )
 from fedfbn.errors import ParseError
+from fedfbn.federation import Strategy, aggregate, extract_bundle
 from fedfbn.network import BnPolicy, ModelSpec, backward, init_model
 from fedfbn.numerics import RngStream
 
@@ -27,6 +27,26 @@ def trained_model(seed=1):
     y = (rng.random((8, 2)) < 0.5).astype(np.float64)
     backward(model, x, y, np.ones((8, 2)), BnPolicy.NORMAL)
     return model
+
+
+def saved_global(tmp_path, strategy=Strategy.FEDBN, name="g.ckpt"):
+    """A two-node global checkpoint; returns its path and raw bytes."""
+    bundles = [extract_bundle(trained_model(s), s, 0, 8) for s in (0, 1)]
+    gm = aggregate(bundles, strategy, ModelSpec(3, (4, 3), ()))
+    path = tmp_path / name
+    save_global(gm, path)
+    return path, path.read_bytes()
+
+
+def split_archive(raw):
+    header_len = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])[0]
+    header = json.loads(raw[len(MAGIC) + 4 : len(MAGIC) + 4 + header_len])
+    return header, raw[len(MAGIC) + 4 + header_len :]
+
+
+def join_archive(header, payload):
+    hb = json.dumps(header, sort_keys=True).encode()
+    return MAGIC + struct.pack("<I", len(hb)) + hb + payload
 
 
 def test_archive_round_trip(tmp_path):
@@ -44,101 +64,142 @@ def test_archive_round_trip(tmp_path):
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
+    # a one-node FEDAVG global is the model itself, so it must survive
+    # save_global / load_global / materialize bit for bit
     model = trained_model()
+    gm = aggregate([extract_bundle(model, 0, 0, 8)], Strategy.FEDAVG, model.spec)
     path = tmp_path / "m.ckpt"
-    save_model(model, path)
-    back = load_model(path)
+    save_global(gm, path)
+    back = load_global(path).materialize(model.spec.label_names)
     assert back.spec == model.spec
-    ta, tb = model_tensors(model), model_tensors(back)
-    assert ta.keys() == tb.keys()
-    for key in ta:
-        assert ta[key].tobytes() == tb[key].tobytes(), key
+    assert list(back.params) == list(model.params)
+    for key in model.params:
+        assert back.params[key].tobytes() == model.params[key].tobytes(), key
+
+
+def test_global_keeps_on_disk_key_layout(tmp_path):
+    path, _ = saved_global(tmp_path)
+    _, meta, tensors = read_archive(path)
+    assert meta["bn_nodes"] == [0, 1]
+    assert list(tensors) == [
+        "rep/dense0/weight", "rep/dense0/bias", "rep/dense1/weight", "rep/dense1/bias",
+        *[f"node_bn/{n}/bn{i}/{t}" for n in (0, 1) for i in (0, 1)
+          for t in ("gamma", "beta", "running_mean", "running_var")],
+        "head/a/weight", "head/a/bias", "head/b/weight", "head/b/bias",
+    ]
 
 
 def test_kind_mismatch_rejected(tmp_path):
     path = tmp_path / "w.ckpt"
-    write_archive(path, "global", {}, {"x": np.zeros(2)})
+    write_archive(path, "model", {}, {"x": np.zeros(2)})
     with pytest.raises(ParseError, match="kind"):
-        load_model(path)
+        load_global(path)
 
 
 def test_corrupt_files_rejected(tmp_path):
-    model = trained_model()
-    good = tmp_path / "good.ckpt"
-    save_model(model, good)
-    raw = good.read_bytes()
+    _, raw = saved_global(tmp_path)
 
     truncated = tmp_path / "trunc.ckpt"
     truncated.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(ParseError):
-        load_model(truncated)
+        load_global(truncated)
 
     bad_magic = tmp_path / "magic.ckpt"
     bad_magic.write_bytes(b"NOTMAGIC" + raw[len(MAGIC) :])
     with pytest.raises(ParseError, match="magic"):
-        load_model(bad_magic)
+        load_global(bad_magic)
 
     bad_json = tmp_path / "json.ckpt"
     body = bytearray(raw)
     body[len(MAGIC) + 4] = ord("!")
     bad_json.write_bytes(bytes(body))
     with pytest.raises(ParseError):
-        load_model(bad_json)
+        load_global(bad_json)
 
     extra_payload = tmp_path / "extra.ckpt"
     extra_payload.write_bytes(raw + b"\x00" * 8)
     with pytest.raises(ParseError, match="payload"):
-        load_model(extra_payload)
+        load_global(extra_payload)
+
+
+def _drop(mapping, key):
+    del mapping[key]
+
+
+def _set_entry(index, **fields):
+    return lambda header: header["entries"][index].update(fields)
+
+
+HEADER_DAMAGE = {
+    "no_entries": lambda h: _drop(h, "entries"),
+    "entries_not_a_list": lambda h: h.update(entries={"k": 1}),
+    "negative_offset": _set_entry(0, offset=-3),
+    "overlap_at_zero": _set_entry(1, offset=0),
+    "gap_between_entries": _set_entry(1, offset=1000),
+    "offset_not_an_int": _set_entry(0, offset="0"),
+    "bool_count": _set_entry(0, count=True),
+    "shape_not_a_list": _set_entry(0, shape=12),
+    "duplicate_key": lambda h: h["entries"][1].update(key=h["entries"][0]["key"]),
+    "meta_not_an_object": lambda h: h.update(meta=[1]),
+    "kind_not_a_string": lambda h: h.update(kind=None),
+    "bogus_strategy": lambda h: h["meta"].update(strategy="bogus"),
+    "no_round_index": lambda h: _drop(h["meta"], "round_index"),
+    "round_index_a_string": lambda h: h["meta"].update(round_index="3"),
+    "no_node_labels": lambda h: _drop(h["meta"], "node_labels"),
+    "bn_nodes_without_fedbn": lambda h: h["meta"].update(strategy="fedavg"),
+    "bn_nodes_missing_a_node": lambda h: h["meta"].update(bn_nodes=[0]),
+    "negative_hidden_dim": lambda h: h["meta"]["spec"].update(hidden_dims=[-4, 3]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(HEADER_DAMAGE))
+def test_malformed_header_is_a_parse_error(tmp_path, damage):
+    _, raw = saved_global(tmp_path)
+    header, payload = split_archive(raw)
+    HEADER_DAMAGE[damage](header)
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(join_archive(header, payload))
+    with pytest.raises(ParseError):
+        load_global(path)
 
 
 def test_version_and_leftover_tensor_rejected(tmp_path):
-    model = trained_model()
-    path = tmp_path / "v.ckpt"
-    save_model(model, path)
-    raw = path.read_bytes()
-    header_len = struct.unpack("<I", raw[len(MAGIC) : len(MAGIC) + 4])[0]
-    header = json.loads(raw[len(MAGIC) + 4 : len(MAGIC) + 4 + header_len])
+    path, raw = saved_global(tmp_path)
+    header, payload = split_archive(raw)
 
-    header_v = dict(header, format_version=99)
-    hb = json.dumps(header_v, sort_keys=True).encode()
     bumped = tmp_path / "v99.ckpt"
-    bumped.write_bytes(
-        MAGIC + struct.pack("<I", len(hb)) + hb + raw[len(MAGIC) + 4 + header_len :]
-    )
+    bumped.write_bytes(join_archive(dict(header, format_version=99), payload))
     with pytest.raises(ParseError, match="format_version"):
         read_archive(bumped)
 
-    stray = tmp_path / "stray.ckpt"
-    tensors = dict(model_tensors(model))
+    kind, meta, tensors = read_archive(path)
     tensors["unrelated/thing"] = np.zeros(1)
-    write_archive(
-        stray, "model",
-        {"spec": json.loads(json.dumps(header["meta"]["spec"]))},
-        tensors,
-    )
+    stray = tmp_path / "stray.ckpt"
+    write_archive(stray, kind, meta, tensors)
     with pytest.raises(ParseError, match="unexpected"):
-        load_model(stray)
+        load_global(stray)
 
 
 def test_missing_tensor_named(tmp_path):
-    model = trained_model()
-    tensors = dict(model_tensors(model))
-    tensors.pop("bn1/running_var")
-    path = tmp_path / "miss.ckpt"
-    from fedfbn.checkpoint import spec_meta
-
-    write_archive(path, "model", {"spec": spec_meta(model.spec)}, tensors)
-    with pytest.raises(ParseError, match="bn1/running_var"):
-        load_model(path)
+    path, _ = saved_global(tmp_path)
+    kind, meta, tensors = read_archive(path)
+    tensors.pop("node_bn/1/bn1/running_var")
+    write_archive(path, kind, meta, tensors)
+    with pytest.raises(ParseError, match="node_bn/1/bn1/running_var"):
+        load_global(path)
 
 
 def test_shape_validation(tmp_path):
-    model = trained_model()
-    tensors = dict(model_tensors(model))
-    tensors["head:a/weight"] = np.zeros((5, 1))
-    path = tmp_path / "shape.ckpt"
-    from fedfbn.checkpoint import spec_meta
+    path, _ = saved_global(tmp_path, Strategy.FEDAVG)
+    kind, meta, tensors = read_archive(path)
+    tensors["head/a/weight"] = np.zeros((5, 1))
+    write_archive(path, kind, meta, tensors)
+    with pytest.raises(ParseError, match="head/a/weight"):
+        load_global(path)
 
-    write_archive(path, "model", {"spec": spec_meta(model.spec)}, tensors)
-    with pytest.raises(ParseError, match="head 'a'"):
-        load_model(path)
+    # same element count, transposed shape
+    kind, meta, tensors = read_archive(saved_global(tmp_path, Strategy.FEDAVG)[0])
+    tensors["rep/dense0/weight"] = tensors["rep/dense0/weight"].T.copy()
+    write_archive(path, kind, meta, tensors)
+    with pytest.raises(ParseError, match="rep/dense0/weight"):
+        load_global(path)

@@ -104,6 +104,30 @@ def test_report_rerenders_in_place(tiny_config, tmp_path):
     assert (out / "summary.csv").read_bytes() == summary
 
 
+def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run_out"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+    good = json.loads(next(out.glob("report_*.json")).read_text())
+    no_means = json.loads(json.dumps(good))
+    del no_means["report"]["per_replicate_means"]
+    cases = {
+        "not an object": ([1, 2], "JSON object"),
+        "report not an object": (dict(good, report="oops"), "'report'"),
+        "no per_replicate_means": (no_means, "report.per_replicate_means"),
+    }
+    bad = out / "report_zz_bad.json"
+    for case, (doc, names) in cases.items():
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--in", str(out)]) == 1, case
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR {"), (case, lines)
+        payload = json.loads(lines[0][len("ERROR "):])
+        assert payload["error"] == "ParseError", case
+        assert "report_zz_bad.json" in payload["message"], case
+        assert names in payload["message"], case
+
+
 def test_bad_config_exits_nonzero_with_error_line(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[experiment]\nscenario = nonsense\n", encoding="utf-8")

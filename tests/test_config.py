@@ -5,7 +5,6 @@ import pytest
 from fedfbn.config import (
     ExperimentConfig,
     config_digest,
-    config_summary,
     load_config,
     node_learning_rates,
     parse_config,
@@ -148,15 +147,6 @@ def test_render_parse_round_trip():
     assert again == cfg
     # and rendering is itself deterministic
     assert render_config(again) == render_config(cfg)
-
-
-def test_config_summary_is_json_plain():
-    import json
-
-    summary = config_summary(ExperimentConfig())
-    text = json.dumps(summary, sort_keys=True)
-    assert json.loads(text)["rounds"] == 100
-    assert json.loads(text)["hidden_dims"] == [64, 32]
 
 
 def test_load_config_reads_files(tmp_path):

@@ -16,12 +16,11 @@ from fedfbn.datagen import (
     generate,
     load_tabular,
     make_iid_halves,
-    prune_labels,
     save_tabular,
     shifted_domain,
     split_by_patient,
 )
-from fedfbn.errors import ConfigError, DataError, LabelError, ParseError, ShapeError
+from fedfbn.errors import ConfigError, DataError, ParseError, ShapeError
 from fedfbn.numerics import RngStream
 
 
@@ -173,39 +172,6 @@ def test_make_iid_halves_needs_both_strata():
     ds.labels[:, :] = 1.0  # no all-negative patients left
     with pytest.raises(DataError):
         make_iid_halves(ds, RngStream(27))
-
-
-def test_prune_labels_rules():
-    ds = small_dataset(seed=28)
-    names = ds.label_names
-    same = prune_labels(ds, names)
-    assert np.array_equal(same.mask, ds.mask)
-    one = prune_labels(ds, [names[2]])
-    nonzero_cols = np.flatnonzero(one.mask.sum(axis=0))
-    assert nonzero_cols.tolist() == [2]
-    assert one.label_names == ds.label_names
-    # mask never grows, labels preserved
-    assert (one.mask <= ds.mask).all()
-    assert np.array_equal(one.labels, ds.labels)
-    with pytest.raises(ConfigError):
-        prune_labels(ds, [])
-    with pytest.raises(LabelError):
-        prune_labels(ds, ["missing"])
-
-
-def test_prune_to_overlap_topology():
-    lm = LabelModel.sample(14, 16, RngStream(29))
-    domain = DomainSpec(latent_dim=16, feature_dim=12, mix_seed=3)
-    ds = generate(domain, lm, 30, RngStream(30))
-    names = list(ds.label_names)
-    keep0, keep1 = names[0:11], names[7:14]
-    a = prune_labels(ds, keep0)
-    b = prune_labels(ds, keep1)
-    cols_a = set(np.flatnonzero(a.mask.sum(axis=0)).tolist())
-    cols_b = set(np.flatnonzero(b.mask.sum(axis=0)).tolist())
-    assert len(cols_a) == 11 and len(cols_b) == 7
-    assert len(cols_a & cols_b) == 4
-    assert cols_a | cols_b == set(range(14))
 
 
 def test_concat_naive_union_and_masks():

@@ -264,7 +264,7 @@ def test_arm_mutating_warmed_models_is_a_protocol_error(monkeypatch):
     real = experiments._execute_arm
 
     def vandal(arm, cfg, data, node_models, central_model, master):
-        node_models[0].layers["dense0"].weight[0, 0] += 1.0
+        node_models[0].params["dense0/weight"][0, 0] += 1.0
         return real(arm, cfg, data, node_models, central_model, master)
 
     monkeypatch.setattr(experiments, "_execute_arm", vandal)

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fedfbn.checkpoint import model_tensors
+from fedfbn.checkpoint import load_global, save_global
 from fedfbn.datagen import DomainSpec, LabelModel, generate, shifted_domain
 from fedfbn.errors import (
     ConfigError,
@@ -23,10 +25,8 @@ from fedfbn.federation import (
     aggregate,
     evaluate_global,
     extract_bundle,
-    load_global,
     merge_heads,
     run_federation,
-    save_global,
 )
 from fedfbn.network import (
     BnPolicy,
@@ -97,44 +97,44 @@ def test_extract_bundle_is_a_snapshot():
     model = make_model(("a",), seed=2)
     b1 = extract_bundle(model, 0, 0, 10)
     b2 = extract_bundle(model, 0, 0, 10)
-    model.layers["dense0"].weight[0, 0] += 5.0
-    assert b1.entries["dense0"]["weight"][0, 0] == b2.entries["dense0"]["weight"][0, 0]
-    assert model.layers["dense0"].weight[0, 0] != b1.entries["dense0"]["weight"][0, 0]
+    model.params["dense0/weight"][0, 0] += 5.0
+    assert b1.entries["dense0/weight"][0, 0] == b2.entries["dense0/weight"][0, 0]
+    assert model.params["dense0/weight"][0, 0] != b1.entries["dense0/weight"][0, 0]
 
 
 def test_fedavg_matches_elementwise_mean_oracle():
     b0, b1 = bundles_pair()
     gm = aggregate([b0, b1], Strategy.FEDAVG, SPEC)
-    for layer, tensors in gm.representation.items():
-        for name, value in tensors.items():
-            oracle = 0.5 * b0.entries[layer][name] + 0.5 * b1.entries[layer][name]
-            assert np.array_equal(value, oracle), (layer, name)
+    for key, value in gm.params.items():
+        if not key.startswith("head:"):
+            oracle = 0.5 * b0.entries[key] + 0.5 * b1.entries[key]
+            assert np.array_equal(value, oracle), key
 
 
 def test_fedavg_averages_bn_statistics_too():
     b0, b1 = bundles_pair()
     assert not np.array_equal(
-        b0.entries["bn0"]["running_mean"], b1.entries["bn0"]["running_mean"]
+        b0.entries["bn0/running_mean"], b1.entries["bn0/running_mean"]
     )
     gm = aggregate([b0, b1], Strategy.FEDAVG, SPEC)
     want = 0.5 * (
-        b0.entries["bn0"]["running_mean"] + b1.entries["bn0"]["running_mean"]
+        b0.entries["bn0/running_mean"] + b1.entries["bn0/running_mean"]
     )
-    assert np.array_equal(gm.representation["bn0"]["running_mean"], want)
+    assert np.array_equal(gm.params["bn0/running_mean"], want)
 
 
 def test_by_samples_weighting():
     b0, b1 = bundles_pair()
     b0 = copy.deepcopy(b0)
     b1 = copy.deepcopy(b1)
-    b0.entries["dense0"]["weight"][:] = 0.0
-    b1.entries["dense0"]["weight"][:] = 4.0
+    b0.entries["dense0/weight"][:] = 0.0
+    b1.entries["dense0/weight"][:] = 4.0
     b0 = type(b0)(node_id=0, round_index=0, sample_count=1,
                   entries=b0.entries, head_labels=b0.head_labels)
     b1 = type(b1)(node_id=1, round_index=0, sample_count=3,
                   entries=b1.entries, head_labels=b1.head_labels)
     gm = aggregate([b0, b1], Strategy.FEDAVG, SPEC, Weighting.BY_SAMPLES)
-    assert np.all(gm.representation["dense0"]["weight"] == 3.0)
+    assert np.all(gm.params["dense0/weight"] == 3.0)
 
 
 def test_fedbn_keeps_bn_per_node():
@@ -142,24 +142,25 @@ def test_fedbn_keeps_bn_per_node():
     gm = aggregate([b0, b1], Strategy.FEDBN, SPEC)
     assert gm.per_node_bn is not None
     for node_id, bundle in ((0, b0), (1, b1)):
-        for layer in ("bn0", "bn1"):
-            for name, value in bundle.entries[layer].items():
-                assert np.array_equal(gm.per_node_bn[node_id][layer][name], value)
+        bn_keys = [k for k in bundle.entries if k.startswith("bn")]
+        assert list(gm.per_node_bn[node_id]) == bn_keys
+        for key in bn_keys:
+            assert np.array_equal(gm.per_node_bn[node_id][key], bundle.entries[key])
     # non-BN layers still use the mean oracle
-    want = 0.5 * (b0.entries["dense1"]["weight"] + b1.entries["dense1"]["weight"])
-    assert np.array_equal(gm.representation["dense1"]["weight"], want)
-    assert "bn0" not in gm.representation
+    want = 0.5 * (b0.entries["dense1/weight"] + b1.entries["dense1/weight"])
+    assert np.array_equal(gm.params["dense1/weight"], want)
+    assert not any(k.startswith("bn") for k in gm.params)
 
 
 def test_fedfbn_requires_and_copies_identical_bn():
     b0, b1 = bundles_pair(train=False)
     # untrained models share the BN init bit-for-bit
     gm = aggregate([b0, b1], Strategy.FEDFBN, SPEC)
-    for layer in ("bn0", "bn1"):
-        for name, value in gm.representation[layer].items():
-            assert np.array_equal(value, b0.entries[layer][name])
+    for key, value in gm.params.items():
+        if key.startswith("bn"):
+            assert np.array_equal(value, b0.entries[key])
     drifted = copy.deepcopy(b1)
-    drifted.entries["bn0"]["running_mean"][0] += 1e-12
+    drifted.entries["bn0/running_mean"][0] += 1e-12
     with pytest.raises(FrozenStatsError, match="bn0"):
         aggregate([b0, drifted], Strategy.FEDFBN, SPEC)
 
@@ -168,33 +169,33 @@ def test_merge_heads_union_rule():
     b0, b1 = bundles_pair()
     heads, union = merge_heads([b0, b1], {0: 0.5, 1: 0.5})
     assert union == ("a", "b", "c")
-    assert np.array_equal(heads["a"]["weight"], b0.entries["head:a"]["weight"])
-    assert np.array_equal(heads["c"]["weight"], b1.entries["head:c"]["weight"])
-    want = 0.5 * (b0.entries["head:b"]["weight"] + b1.entries["head:b"]["weight"])
-    assert np.allclose(heads["b"]["weight"], want, atol=0, rtol=0)
+    assert np.array_equal(heads["head:a/weight"], b0.entries["head:a/weight"])
+    assert np.array_equal(heads["head:c/weight"], b1.entries["head:c/weight"])
+    want = 0.5 * (b0.entries["head:b/weight"] + b1.entries["head:b/weight"])
+    assert np.allclose(heads["head:b/weight"], want, atol=0, rtol=0)
 
 
 def test_merge_heads_identical_owners_copy_exactly():
     m0 = make_model(("a", "b"), seed=11)
     m1 = make_model(("b", "c"), seed=12)
-    m1.heads["b"].weight[:] = m0.heads["b"].weight
-    m1.heads["b"].bias[:] = m0.heads["b"].bias
+    m1.params["head:b/weight"][:] = m0.params["head:b/weight"]
+    m1.params["head:b/bias"][:] = m0.params["head:b/bias"]
     b0 = extract_bundle(m0, 0, 0, 16)
     b1 = extract_bundle(m1, 1, 0, 16)
     heads, _ = merge_heads([b0, b1], {0: 0.5, 1: 0.5})
-    assert heads["b"]["weight"].tobytes() == b0.entries["head:b"]["weight"].tobytes()
-    assert heads["b"]["bias"].tobytes() == b0.entries["head:b"]["bias"].tobytes()
+    assert heads["head:b/weight"].tobytes() == b0.entries["head:b/weight"].tobytes()
+    assert heads["head:b/bias"].tobytes() == b0.entries["head:b/bias"].tobytes()
 
 
 def test_merge_heads_three_owner_mean():
     models = [make_model(("x",), seed=s) for s in (21, 22, 23)]
     for value, m in zip((1.0, 2.0, 6.0), models):
-        m.heads["x"].weight[:] = value
-        m.heads["x"].bias[:] = value
+        m.params["head:x/weight"][:] = value
+        m.params["head:x/bias"][:] = value
     bundles = [extract_bundle(m, i, 0, 10) for i, m in enumerate(models)]
     heads, _ = merge_heads(bundles, {0: 1 / 3, 1: 1 / 3, 2: 1 / 3})
-    assert np.allclose(heads["x"]["weight"], 3.0)
-    assert np.allclose(heads["x"]["bias"], 3.0)
+    assert np.allclose(heads["head:x/weight"], 3.0)
+    assert np.allclose(heads["head:x/bias"], 3.0)
 
 
 def test_merge_heads_random_topologies_match_oracle():
@@ -221,16 +222,65 @@ def test_merge_heads_random_topologies_match_oracle():
             owners = [b for b in bundles if label in b.head_labels]
             wsum = sum(weights[b.node_id] for b in owners)
             for name in ("weight", "bias"):
-                acc = (weights[owners[0].node_id] / wsum) * owners[0].entries[
-                    f"head:{label}"
-                ][name]
+                key = f"head:{label}/{name}"
+                acc = (weights[owners[0].node_id] / wsum) * owners[0].entries[key]
                 for b in owners[1:]:
-                    acc = acc + (weights[b.node_id] / wsum) * b.entries[
-                        f"head:{label}"
-                    ][name]
+                    acc = acc + (weights[b.node_id] / wsum) * b.entries[key]
                 if len(owners) == 1:
-                    acc = owners[0].entries[f"head:{label}"][name]
-                assert np.array_equal(heads[label][name], acc), (trial, label, name)
+                    acc = owners[0].entries[key]
+                assert np.array_equal(heads[key], acc), (trial, label, name)
+
+
+def random_bundle(node_id, labels, samples, seed, shared_bn, twin):
+    """A bundle of random tensors; ``twin`` draws every tensor from one
+    stream shared by all twins, so their heads agree bit for bit."""
+    model = make_model(labels)
+    node_rng = RngStream(seed).child("twin" if twin else f"node{node_id}")
+    for key, value in model.params.items():
+        source = RngStream(seed) if shared_bn and key.startswith("bn") else node_rng
+        value[:] = source.child(key).standard_normal(value.shape)
+    return extract_bundle(model, node_id, 0, samples)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    strategy=st.sampled_from(list(Strategy)),
+    weighting=st.sampled_from(list(Weighting)),
+    nodes=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from("abcde"), min_size=1, max_size=5, unique=True),
+            st.integers(1, 1000),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**63),
+    data=st.data(),
+)
+def test_aggregate_is_order_free_and_fbn_carries_bn(strategy, weighting, nodes, seed, data):
+    shared_bn = strategy is Strategy.FEDFBN
+    bundles = [
+        random_bundle(i, tuple(labels), samples, seed, shared_bn, twin)
+        for i, (labels, samples, twin) in enumerate(nodes)
+    ]
+    order = data.draw(st.permutations(range(len(bundles))))
+    gm = aggregate(bundles, strategy, SPEC, weighting)
+    again = aggregate([bundles[i] for i in order], strategy, SPEC, weighting)
+    assert again.spec == gm.spec and again.node_labels == gm.node_labels
+    assert list(again.params) == list(gm.params)
+    for key, value in gm.params.items():
+        assert again.params[key].tobytes() == value.tobytes(), key
+    if gm.per_node_bn is not None:
+        for node_id, bn in gm.per_node_bn.items():
+            assert list(again.per_node_bn[node_id]) == list(bn)
+            for key, value in bn.items():
+                assert again.per_node_bn[node_id][key].tobytes() == value.tobytes()
+    if shared_bn:
+        bn_keys = [k for k in bundles[0].entries if k.startswith("bn")]
+        for key in bn_keys:
+            for b in bundles:
+                assert gm.params[key].tobytes() == b.entries[key].tobytes(), key
 
 
 def test_aggregate_validates_bundles():
@@ -256,8 +306,9 @@ def test_single_node_federation_equals_local_training():
         epochs=1, lr_by_block={"representation": 0.05, "heads": 0.05},
         policy=BnPolicy.NORMAL, batch_size=8, rng=mirror_rng,
     )
-    got = model_tensors(fed.final.materialize(("a", "b")))
-    want = model_tensors(mirror)
+    got = fed.final.materialize(("a", "b")).params
+    want = mirror.params
+    assert list(got) == list(want)
     assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
@@ -266,8 +317,8 @@ def test_identical_nodes_under_fedavg_keep_their_model():
     n1 = make_node(1, ("a", "b"), seed=41)
     n1.rng = RngStream(41 + 200)  # same draws as node 0
     fed = run_federation([n0, n1], Strategy.FEDAVG, rounds=1)
-    got = model_tensors(fed.final.materialize(("a", "b")))
-    want = model_tensors(n0.model)
+    got = fed.final.materialize(("a", "b")).params
+    want = n0.model.params
     assert all(np.array_equal(got[k], want[k]) for k in want)
 
 
@@ -292,19 +343,14 @@ def test_round_reports_track_running_minimum():
 def test_fedfbn_round_loop_never_moves_bn():
     n0 = make_node(0, ("a", "b"), seed=61, shift=0.5)
     n1 = make_node(1, ("b", "c"), seed=62, shift=-0.5)
-    init_bn = {
-        layer: {k: v.copy() for k, v in tensors.items()}
-        for layer, tensors in extract_bundle(n0.model, 0, 0, 1).bn_layers().items()
-    }
+    init_bn = {k: v.copy() for k, v in n0.model.params.items() if k.startswith("bn")}
     seen = []
 
     def check(report):
         for node in (n0, n1):
-            for layer, tensors in extract_bundle(
-                node.model, node.node_id, 0, 1
-            ).bn_layers().items():
-                for name, value in tensors.items():
-                    assert value.tobytes() == init_bn[layer][name].tobytes()
+            entries = extract_bundle(node.model, node.node_id, 0, 1).entries
+            for key, value in init_bn.items():
+                assert entries[key].tobytes() == value.tobytes()
         seen.append(report.round_index)
 
     run_federation([n0, n1], Strategy.FEDFBN, rounds=4, on_round=check)
@@ -315,8 +361,8 @@ def test_fedbn_separates_bn_after_aggregation():
     n0 = make_node(0, ("a", "b"), seed=71, shift=1.5)
     n1 = make_node(1, ("a", "b"), seed=72, shift=-1.5)
     fed = run_federation([n0, n1], Strategy.FEDBN, rounds=2)
-    m0 = model_tensors(fed.final.materialize(("a", "b"), node_id=0))
-    m1 = model_tensors(fed.final.materialize(("a", "b"), node_id=1))
+    m0 = fed.final.materialize(("a", "b"), node_id=0).params
+    m1 = fed.final.materialize(("a", "b"), node_id=1).params
     assert not np.array_equal(m0["bn0/running_mean"], m1["bn0/running_mean"])
     for key in m0:
         if not key.startswith("bn"):
@@ -377,15 +423,11 @@ def test_evaluate_global_memorized_task_and_purity():
     warmup_heads(node.model, ds.features, ds.labels, ds.mask, epochs=5,
                  rng=RngStream(6), lr=0.3)
     fed = run_federation([node], Strategy.FEDAVG, rounds=40)
-    before = {
-        layer: {k: v.copy() for k, v in t.items()}
-        for layer, t in fed.best.representation.items()
-    }
+    before = {k: v.copy() for k, v in fed.best.params.items()}
     report = evaluate_global(fed.best, ds, labels, RngStream(7), n_bootstrap=100)
     assert report.mean_auroc >= 0.99
-    for layer, tensors in fed.best.representation.items():
-        for name, value in tensors.items():
-            assert np.array_equal(value, before[layer][name])
+    for key, value in fed.best.params.items():
+        assert np.array_equal(value, before[key])
 
 
 def test_evaluate_global_label_handling():
@@ -427,19 +469,13 @@ def test_global_checkpoint_round_trips(tmp_path):
         assert back.strategy == gm.strategy
         assert back.node_labels == gm.node_labels
         assert back.spec == gm.spec
-        for layer, tensors in gm.representation.items():
-            for name, value in tensors.items():
-                assert value.tobytes() == back.representation[layer][name].tobytes()
-        for label, tensors in gm.heads.items():
-            for name, value in tensors.items():
-                assert value.tobytes() == back.heads[label][name].tobytes()
+        assert list(back.params) == list(gm.params)
+        for key, value in gm.params.items():
+            assert value.tobytes() == back.params[key].tobytes()
         if gm.per_node_bn is None:
             assert back.per_node_bn is None
         else:
-            for node_id, layers in gm.per_node_bn.items():
-                for layer, tensors in layers.items():
-                    for name, value in tensors.items():
-                        assert (
-                            value.tobytes()
-                            == back.per_node_bn[node_id][layer][name].tobytes()
-                        )
+            for node_id, bn in gm.per_node_bn.items():
+                assert list(back.per_node_bn[node_id]) == list(bn)
+                for key, value in bn.items():
+                    assert value.tobytes() == back.per_node_bn[node_id][key].tobytes()

@@ -6,13 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from fedfbn.checkpoint import model_tensors
-from fedfbn.errors import ConfigError, DataError
+from fedfbn.errors import ConfigError, DataError, ProtocolError, ShapeError
 from fedfbn.network import (
     BnPolicy,
     ModelSpec,
     backward,
-    bn_layer_names,
     evaluate_loss,
     init_model,
     masked_bce,
@@ -43,33 +41,21 @@ def make_batch(spec, n, seed):
 def unit_chain_model(running_mean=0.0, running_var=1.0):
     """input 1 -> dense(identity) -> bn -> relu -> one head (identity)."""
     model = init_model(ModelSpec(1, (1,), ("y",)), RngStream(0))
-    model.layers["dense0"].weight[:] = 1.0
-    model.layers["dense0"].bias[:] = 0.0
-    model.layers["bn0"].running_mean[:] = running_mean
-    model.layers["bn0"].running_var[:] = running_var
-    model.heads["y"].weight[:] = 1.0
-    model.heads["y"].bias[:] = 0.0
+    model.params["dense0/weight"][:] = 1.0
+    model.params["dense0/bias"][:] = 0.0
+    model.params["bn0/running_mean"][:] = running_mean
+    model.params["bn0/running_var"][:] = running_var
+    model.params["head:y/weight"][:] = 1.0
+    model.params["head:y/bias"][:] = 0.0
     return model
 
 
 def bn_state(model):
-    return {
-        name: {
-            "gamma": model.layers[name].gamma.copy(),
-            "beta": model.layers[name].beta.copy(),
-            "running_mean": model.layers[name].running_mean.copy(),
-            "running_var": model.layers[name].running_var.copy(),
-        }
-        for name in bn_layer_names(model)
-    }
+    return {k: v.copy() for k, v in model.params.items() if k.startswith("bn")}
 
 
 def bn_states_equal(a, b):
-    return all(
-        np.array_equal(a[layer][t], b[layer][t])
-        for layer in a
-        for t in a[layer]
-    )
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def sigmoid(v):
@@ -80,18 +66,17 @@ def test_init_model_deterministic():
     spec = tiny_spec()
     a = init_model(spec, RngStream(7))
     b = init_model(spec, RngStream(7))
-    ta, tb = model_tensors(a), model_tensors(b)
+    ta, tb = a.params, b.params
     assert ta.keys() == tb.keys()
     assert all(np.array_equal(ta[k], tb[k]) for k in ta)
 
 
 def test_init_model_bn_identity_stats():
     model = init_model(tiny_spec(), RngStream(8))
-    bn = model.layers["bn0"]
-    assert np.array_equal(bn.gamma, np.ones(4))
-    assert np.array_equal(bn.beta, np.zeros(4))
-    assert np.array_equal(bn.running_mean, np.zeros(4))
-    assert np.array_equal(bn.running_var, np.ones(4))
+    assert np.array_equal(model.params["bn0/gamma"], np.ones(4))
+    assert np.array_equal(model.params["bn0/beta"], np.zeros(4))
+    assert np.array_equal(model.params["bn0/running_mean"], np.zeros(4))
+    assert np.array_equal(model.params["bn0/running_var"], np.ones(4))
 
 
 def test_frozen_forward_hand_values_fresh_stats():
@@ -124,8 +109,8 @@ def test_train_normal_updates_running_stats_exactly():
     backward(model, x, y, m, BnPolicy.NORMAL)
     mom = model.spec.bn_momentum
     # batch mean 2, biased variance 1
-    assert model.layers["bn0"].running_mean[0] == (1.0 - mom) * 0.0 + mom * 2.0
-    assert model.layers["bn0"].running_var[0] == (1.0 - mom) * 1.0 + mom * 1.0
+    assert model.params["bn0/running_mean"][0] == (1.0 - mom) * 0.0 + mom * 2.0
+    assert model.params["bn0/running_var"][0] == (1.0 - mom) * 1.0 + mom * 1.0
 
 
 def test_train_normal_rejects_single_row_batch():
@@ -141,18 +126,18 @@ def test_frozen_and_eval_mutate_nothing():
     spec = tiny_spec()
     model = init_model(spec, RngStream(9))
     x, y, mask = make_batch(spec, 6, 10)
-    before = {k: v.copy() for k, v in model_tensors(model).items()}
+    before = {k: v.copy() for k, v in model.params.items()}
     predict(model, x)
     backward(model, x, y, mask, BnPolicy.FROZEN)
-    after = model_tensors(model)
+    after = model.params
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
 def test_zero_weight_heads_output_half():
     model = init_model(tiny_spec(), RngStream(11))
-    for head in model.heads.values():
-        head.weight[:] = 0.0
-        head.bias[:] = 0.0
+    for key, value in model.params.items():
+        if key.startswith("head:"):
+            value[:] = 0.0
     out = predict(model, RngStream(12).standard_normal((5, 3)))
     assert np.array_equal(out, np.full((5, 2), 0.5))
 
@@ -206,42 +191,31 @@ def fd_gradients(model, x, y, mask, policy, h=1e-5):
     """Central finite differences over every tensor backward reports."""
     _, grads = backward(model_copy(model), x, y, mask, policy)
     out = {}
-    for layer, layer_grads in grads.items():
-        out[layer] = {}
-        for tname, g in layer_grads.items():
-            fd = np.zeros_like(g)
-            for i in range(g.size):
-                plus = model_copy(model)
-                _tensor(plus, layer, tname).flat[i] += h
-                loss_p, _ = backward(plus, x, y, mask, policy)
-                minus = model_copy(model)
-                _tensor(minus, layer, tname).flat[i] -= h
-                loss_m, _ = backward(minus, x, y, mask, policy)
-                fd.flat[i] = (loss_p - loss_m) / (2.0 * h)
-            out[layer][tname] = fd
+    for key, g in grads.items():
+        fd = np.zeros_like(g)
+        for i in range(g.size):
+            plus = model_copy(model)
+            plus.params[key].flat[i] += h
+            loss_p, _ = backward(plus, x, y, mask, policy)
+            minus = model_copy(model)
+            minus.params[key].flat[i] -= h
+            loss_m, _ = backward(minus, x, y, mask, policy)
+            fd.flat[i] = (loss_p - loss_m) / (2.0 * h)
+        out[key] = fd
     return grads, out
 
 
-def _tensor(model, layer, tname):
-    if layer.startswith("head:"):
-        params = model.heads[layer[len("head:") :]]
-    else:
-        params = model.layers[layer]
-    return getattr(params, tname)
-
-
 def assert_grads_close(analytic, fd, rtol=1e-4, atol=1e-8):
-    for layer in analytic:
-        for tname in analytic[layer]:
-            a = analytic[layer][tname]
-            f = fd[layer][tname]
-            for i in range(a.size):
-                av, fv = a.flat[i], f.flat[i]
-                if abs(av) < 1e-6 and abs(fv) < 1e-6:
-                    assert abs(av - fv) < atol, (layer, tname, i, av, fv)
-                else:
-                    rel = abs(av - fv) / max(abs(av), abs(fv))
-                    assert rel < rtol, (layer, tname, i, av, fv, rel)
+    for key in analytic:
+        a = analytic[key]
+        f = fd[key]
+        for i in range(a.size):
+            av, fv = a.flat[i], f.flat[i]
+            if abs(av) < 1e-6 and abs(fv) < 1e-6:
+                assert abs(av - fv) < atol, (key, i, av, fv)
+            else:
+                rel = abs(av - fv) / max(abs(av), abs(fv))
+                assert rel < rtol, (key, i, av, fv, rel)
 
 
 def test_gradients_match_finite_differences_normal():
@@ -268,11 +242,11 @@ def test_frozen_backward_has_no_bn_gradients():
     model = init_model(spec, RngStream(21))
     x, y, mask = make_batch(spec, 5, 22)
     _, grads = backward(model, x, y, mask, BnPolicy.FROZEN)
-    assert not any(layer.startswith("bn") for layer in grads)
+    assert not any(key.startswith("bn") for key in grads)
     _, grads_n = backward(model, x, y, mask, BnPolicy.NORMAL)
-    assert {l for l in grads_n if l.startswith("bn")} == {"bn0", "bn1"}
-    for layer in ("bn0", "bn1"):
-        assert set(grads_n[layer]) == {"gamma", "beta"}
+    assert {k for k in grads_n if k.startswith("bn")} == {
+        "bn0/gamma", "bn0/beta", "bn1/gamma", "bn1/beta"
+    }
 
 
 def test_fully_unobserved_label_gets_zero_gradient():
@@ -281,20 +255,30 @@ def test_fully_unobserved_label_gets_zero_gradient():
     x, y, mask = make_batch(spec, 6, 24)
     mask[:, 1] = 0.0
     _, grads = backward(model, x, y, mask, BnPolicy.NORMAL)
-    assert np.array_equal(grads["head:b"]["weight"], np.zeros((3, 1)))
-    assert np.array_equal(grads["head:b"]["bias"], np.zeros(1))
+    assert np.array_equal(grads["head:b/weight"], np.zeros((3, 1)))
+    assert np.array_equal(grads["head:b/bias"], np.zeros(1))
 
 
 def test_sgd_step_hand_case_and_zero_lr():
     model = unit_chain_model()
-    grads = {"head:y": {"weight": np.array([[2.0]]), "bias": np.array([0.0])}}
+    grads = {"head:y/weight": np.array([[2.0]]), "head:y/bias": np.array([0.0])}
     sgd_step(model, grads, {"representation": 0.1, "heads": 0.1})
-    assert model.heads["y"].weight[0, 0] == 1.0 - 0.1 * 2.0
-    before = model_tensors(model)
-    before = {k: v.copy() for k, v in before.items()}
+    assert model.params["head:y/weight"][0, 0] == 1.0 - 0.1 * 2.0
+    before = {k: v.copy() for k, v in model.params.items()}
     sgd_step(model, grads, {"representation": 0.0, "heads": 0.0})
-    after = model_tensors(model)
+    after = model.params
     assert all(np.array_equal(before[k], after[k]) for k in before)
+
+
+def test_sgd_step_rejects_unknown_key_and_wrong_shape():
+    model = unit_chain_model()
+    lrs = {"representation": 0.1, "heads": 0.1}
+    with pytest.raises(ProtocolError, match="head:z/weight"):
+        sgd_step(model, {"head:z/weight": np.zeros((1, 1))}, lrs)
+    with pytest.raises(ShapeError, match="dense0/weight"):
+        sgd_step(model, {"dense0/weight": np.zeros((2, 1))}, lrs)
+    # a zero-lr block is skipped before any check
+    sgd_step(model, {"head:z/weight": np.zeros(3)}, dict(lrs, heads=0.0))
 
 
 def test_sgd_step_block_selectivity():
@@ -302,9 +286,9 @@ def test_sgd_step_block_selectivity():
     model = init_model(spec, RngStream(25))
     x, y, mask = make_batch(spec, 6, 26)
     _, grads = backward(model, x, y, mask, BnPolicy.NORMAL)
-    before = {k: v.copy() for k, v in model_tensors(model).items()}
+    before = {k: v.copy() for k, v in model.params.items()}
     sgd_step(model, grads, {"representation": 0.0, "heads": 1e-3})
-    after = model_tensors(model)
+    after = model.params
     for key in before:
         if key.startswith("head:"):
             assert not np.array_equal(before[key], after[key])
@@ -326,8 +310,8 @@ def test_train_epochs_frozen_keeps_bn_bit_identical():
     )
     assert bn_states_equal(before, bn_state(model))
     assert not np.array_equal(
-        init_model(spec, RngStream(27)).layers["dense0"].weight,
-        model.layers["dense0"].weight,
+        init_model(spec, RngStream(27)).params["dense0/weight"],
+        model.params["dense0/weight"],
     )
 
 
@@ -342,21 +326,21 @@ def test_train_epochs_normal_moves_running_stats():
         policy=BnPolicy.NORMAL, batch_size=8, rng=RngStream(32),
     )
     assert not np.array_equal(
-        before["bn0"]["running_mean"], model.layers["bn0"].running_mean
+        before["bn0/running_mean"], model.params["bn0/running_mean"]
     )
 
 
 def test_train_epochs_zero_epochs_is_identity():
     spec = tiny_spec()
     model = init_model(spec, RngStream(33))
-    before = {k: v.copy() for k, v in model_tensors(model).items()}
+    before = {k: v.copy() for k, v in model.params.items()}
     loss = train_epochs(
         model, *make_batch(spec, 10, 34), epochs=0,
         lr_by_block={"representation": 0.1, "heads": 0.1},
         policy=BnPolicy.NORMAL, batch_size=4, rng=RngStream(35),
     )
     assert math.isnan(loss)
-    after = model_tensors(model)
+    after = model.params
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -378,12 +362,11 @@ def test_warmup_trains_heads_only():
     model = init_model(spec, RngStream(39))
     x, y, mask = make_batch(spec, 60, 40)
     trunk_before = {
-        k: v.copy() for k, v in model_tensors(model).items()
-        if not k.startswith("head:")
+        k: v.copy() for k, v in model.params.items() if not k.startswith("head:")
     }
     warmup_heads(model, x, y, mask, epochs=3, rng=RngStream(41))
     trunk_after = {
-        k: v for k, v in model_tensors(model).items() if not k.startswith("head:")
+        k: v for k, v in model.params.items() if not k.startswith("head:")
     }
     assert all(np.array_equal(trunk_before[k], trunk_after[k]) for k in trunk_before)
 
@@ -391,9 +374,9 @@ def test_warmup_trains_heads_only():
 def test_warmup_zero_epochs_is_identity():
     spec = tiny_spec()
     model = init_model(spec, RngStream(42))
-    before = {k: v.copy() for k, v in model_tensors(model).items()}
+    before = {k: v.copy() for k, v in model.params.items()}
     warmup_heads(model, *make_batch(spec, 20, 43), epochs=0, rng=RngStream(44))
-    after = model_tensors(model)
+    after = model.params
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
@@ -406,8 +389,8 @@ def test_warmup_fits_separable_toy_task():
     y = (x @ w > 0.0).astype(np.float64).reshape(-1, 1)
     mask = np.ones_like(y)
     model = init_model(ModelSpec(5, (), ("sep",)), RngStream(46))
-    model.heads["sep"].weight[:] = 0.0
-    model.heads["sep"].bias[:] = 0.0
+    model.params["head:sep/weight"][:] = 0.0
+    model.params["head:sep/bias"][:] = 0.0
     start = evaluate_loss(model, x, y, mask)
     warmup_heads(model, x, y, mask, epochs=20, rng=RngStream(47))
     end = evaluate_loss(model, x, y, mask)
@@ -427,22 +410,22 @@ def test_pretrain_backbone_contract():
     again = pretrain_backbone(
         spec, x, y, mask, source_labels=src_labels, epochs=2, rng=RngStream(49)
     )
-    ta, tb = model_tensors(trained), model_tensors(again)
+    ta, tb = trained.params, again.params
     assert all(np.array_equal(ta[k], tb[k]) for k in ta)
     assert trained.spec.label_names == ()
-    assert trained.heads == {}
+    assert not any(k.startswith("head:") for k in trained.params)
     # statistics were learned off the identity init
     assert not np.array_equal(
-        trained.layers["bn0"].running_var, np.ones(4)
+        trained.params["bn0/running_var"], np.ones(4)
     )
     fresh = pretrain_backbone(
         spec, x, y, mask, source_labels=src_labels, epochs=0, rng=RngStream(49)
     )
     init = init_model(ModelSpec(3, (4, 3), src_labels), RngStream(49))
     init_tensors = {
-        k: v for k, v in model_tensors(init).items() if not k.startswith("head:")
+        k: v for k, v in init.params.items() if not k.startswith("head:")
     }
-    fresh_tensors = model_tensors(fresh)
+    fresh_tensors = fresh.params
     assert all(np.array_equal(init_tensors[k], fresh_tensors[k]) for k in init_tensors)
 
 
@@ -461,8 +444,8 @@ def test_with_heads_shares_trunk_and_aligns_shared_heads():
     m0 = with_heads(backbone, ("a", "b"), seed)
     m1 = with_heads(backbone, ("b", "c"), seed)
     # the shared label's head is initialized identically at both nodes
-    assert np.array_equal(m0.heads["b"].weight, m1.heads["b"].weight)
-    assert np.array_equal(m0.heads["b"].bias, m1.heads["b"].bias)
+    assert np.array_equal(m0.params["head:b/weight"], m1.params["head:b/weight"])
+    assert np.array_equal(m0.params["head:b/bias"], m1.params["head:b/bias"])
     # trunk is copied, not aliased
-    m0.layers["dense0"].weight[0, 0] += 1.0
-    assert backbone.layers["dense0"].weight[0, 0] != m0.layers["dense0"].weight[0, 0]
+    m0.params["dense0/weight"][0, 0] += 1.0
+    assert backbone.params["dense0/weight"][0, 0] != m0.params["dense0/weight"][0, 0]

@@ -3,54 +3,15 @@
 import numpy as np
 import pytest
 
-from fedfbn.errors import DataError, ShapeError
-from fedfbn.numerics import (
-    RngStream,
-    as_tensor,
-    batch_stats,
-    check_finite,
-    derive_stream,
-    matmul,
-)
-
-
-def test_matmul_identity():
-    eye = as_tensor([[1.0, 0.0], [0.0, 1.0]])
-    b = as_tensor([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(matmul(eye, b), b)
-    assert np.array_equal(matmul(b, eye), b)
-
-
-def test_matmul_hand_case():
-    out = matmul(as_tensor([[1.0, 2.0]]), as_tensor([[3.0], [4.0]]))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_matches_triple_loop():
-    rng = RngStream(7)
-    a = rng.standard_normal((5, 7))
-    b = rng.standard_normal((7, 3))
-    want = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            acc = 0.0
-            for k in range(7):
-                acc += a[i, k] * b[k, j]
-            want[i, j] = acc
-    assert np.max(np.abs(matmul(a, b) - want)) < 1e-12
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+from fedfbn.errors import DataError
+from fedfbn.numerics import RngStream, batch_stats, check_finite
 
 
 def test_batch_stats_hand_cases():
-    mean, var = batch_stats(as_tensor([[1.0], [3.0]]))
+    mean, var = batch_stats(np.array([[1.0], [3.0]]))
     assert np.array_equal(mean, [2.0])
     assert np.array_equal(var, [1.0])
-    mean, var = batch_stats(as_tensor([[5.0, 7.0]]))
+    mean, var = batch_stats(np.array([[5.0, 7.0]]))
     assert np.array_equal(mean, [5.0, 7.0])
     assert np.array_equal(var, [0.0, 0.0])
 
@@ -113,11 +74,6 @@ def test_child_derivation_leaves_parent_alone():
     for i in range(6):
         s1.child(f"side:{i}")
     assert np.array_equal(s1.standard_normal(8), s2.standard_normal(8))
-
-
-def test_derive_stream_matches_child():
-    s = RngStream(3)
-    assert derive_stream(s, "x").seed == s.child("x").seed
 
 
 def test_draw_helpers_in_range():
