@@ -5,12 +5,17 @@ then the concatenation of all tensors as little-endian float64. The header
 carries a ``kind`` tag, arbitrary JSON metadata, and one entry per tensor
 (key, shape, offset in floats, count). Writing and reading the same model
 is bit-exact because the payload is the raw IEEE-754 bytes.
+
+Every run artifact, checkpoints and text files alike, is written through
+:func:`atomic_open`, so an interrupted write never leaves a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict
 
@@ -23,6 +28,29 @@ from .numerics import Tensor
 
 MAGIC = b"FBNCKPT1"
 FORMAT_VERSION = 1
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """Open a temporary sibling of ``path`` that replaces it on a clean exit.
+
+    Readers see the old file or the whole new one, never a partial write.
+    If the block raises, the temporary file is removed and ``path`` is left
+    as it was. The temporary name starts with a dot, so it never matches an
+    artifact name such as ``report_*.json``. This guards against an
+    interrupted process, not against power loss: nothing is fsynced.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_archive(path, kind: str, meta: dict, tensors: dict[str, Tensor]) -> None:
@@ -49,7 +77,7 @@ def write_archive(path, kind: str, meta: dict, tensors: dict[str, Tensor]) -> No
         "entries": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
@@ -130,7 +158,7 @@ def spec_from_meta(meta: dict) -> ModelSpec:
             bn_momentum=float(meta["bn_momentum"]),
             bn_eps=float(meta["bn_eps"]),
         )
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ParseError(f"invalid model spec metadata: {exc}") from None
 
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 
-from .checkpoint import save_global
-from .config import ExperimentConfig, config_digest, node_learning_rates
+from .checkpoint import atomic_open, save_global
+from .config import ARMS, ExperimentConfig, config_digest, node_learning_rates
 from .datagen import (
     Dataset,
     DomainSpec,
@@ -563,7 +564,7 @@ def _rounds_csv(result: ArmResult) -> str:
 
 
 def _write_text(path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
 
 
@@ -617,7 +618,8 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # bool is not a number here
+    """A finite number in float64 range; bool is not a number here."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _list_of(ok):
@@ -626,9 +628,11 @@ def _list_of(ok):
 
 # Every envelope and report key render_tables reads, with what it must hold.
 _ENVELOPE_FIELDS = {
+    # the arm names an output file, so it must be a known one
+    "arm": (f"one of {list(ARMS)}", lambda v: v in ARMS),
     **{
         key: ("a string", lambda v: isinstance(v, str))
-        for key in ("arm", "variant", "test_set", "view")
+        for key in ("variant", "test_set", "view")
     },
     "report": ("an object", lambda v: isinstance(v, dict)),
 }
@@ -656,6 +660,13 @@ def _check_envelope(env, path) -> None:
         for key, (want, ok) in fields.items():
             if key not in doc or not ok(doc[key]):
                 raise ParseError(f"{path}: envelope key '{prefix}{key}' must be {want}")
+    # the paired t-test needs at least two replicates, one mean per replicate
+    report = env["report"]
+    if report["n_bootstrap"] < 2 or len(report["per_replicate_means"]) != report["n_bootstrap"]:
+        raise ParseError(
+            f"{path}: envelope key 'report.per_replicate_means' must hold "
+            "n_bootstrap (at least 2) numbers"
+        )
 
 
 def load_envelopes(in_dir) -> list[dict]:
@@ -673,6 +684,11 @@ def load_envelopes(in_dir) -> list[dict]:
         envelopes.append(env)
     if not envelopes:
         raise ParseError(f"{in_dir}: no {REPORT_PREFIX}*.json files found")
+    # one run draws every report from the same number of replicates; the
+    # paired t-test aligns them index by index
+    sizes = sorted({env["report"]["n_bootstrap"] for env in envelopes})
+    if len(sizes) > 1:
+        raise ParseError(f"{in_dir}: report envelopes disagree on n_bootstrap: {sizes}")
     return envelopes
 
 

@@ -8,7 +8,9 @@ enumeration, ties included.
 Bootstrap replicates resample test rows with replacement; replicate ``r``
 draws its indices from a stream derived by the label ``boot:r``, so two
 models evaluated with equal-seed streams share resample indices and their
-per-replicate means pair up for the t-test.
+per-replicate means pair up for the t-test. A replicate's AUROC depends only
+on how often each row was drawn, so each label is sorted once per call and a
+replicate's Mann-Whitney count is integer arithmetic on its draw counts.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from .special import student_t_two_tailed
 
 SIGNIFICANCE_LEVEL = 0.05
 _REPORT_SCHEMA_VERSION = 1
+# Bootstrap replicates scored together; bounds the (replicates, rows) count
+# arrays so memory does not grow with n_bootstrap.
+_BOOTSTRAP_BLOCK = 32
 
 
 def auroc(scores, labels) -> float | None:
@@ -84,6 +89,44 @@ def mean_auroc(per_label: dict[str, float | None]) -> float:
 
 def undefined_labels(per_label: dict[str, float | None]) -> list[str]:
     return [name for name, v in per_label.items() if v is None]
+
+
+def _ranked_column(scores, labels, mask):
+    """One label's observed rows sorted by score, with tie-group starts.
+
+    Returns ``(order, starts, pos)``, or ``None`` when no row is observed:
+    rows under the mask in ascending score order, the offset in ``order``
+    where each run of equal scores begins, and which sorted rows are
+    positive (any other label value under the mask counts as negative, as
+    in :func:`auroc`).
+    """
+    rows = np.flatnonzero(mask == 1)
+    if rows.size == 0:
+        return None
+    order = rows[np.argsort(scores[rows], kind="stable")]
+    s = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    return order, starts, labels[order] == 1
+
+
+def _count_auroc(counts, order, starts, pos):
+    """AUROC of one label in each resample given by a row of ``counts``.
+
+    ``counts[b, i]`` is how often row ``i`` was drawn. Per tie group,
+    ``p``/``q`` count drawn positives/negatives; a positive scores one for
+    each negative below its group and one half for each negative inside it,
+    so ``2U = sum(p * (2 * negatives_below + q))``, exact in integers.
+    Returns the AUROC per resample and whether both classes were drawn.
+    """
+    c = counts[:, order]
+    p = np.add.reduceat(c * pos, starts, axis=1)
+    q = np.add.reduceat(c, starts, axis=1) - p
+    neg_through = np.cumsum(q, axis=1)  # negatives below the group, plus q
+    two_u = (p * (2 * neg_through - q)).sum(axis=1)
+    pairs = p.sum(axis=1) * neg_through[:, -1]
+    defined = pairs > 0
+    # U = 2U / 2 is exact, so this is auroc's u / (n_pos * n_neg) bit for bit
+    return (two_u / 2.0) / np.maximum(pairs, 1), defined
 
 
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -147,7 +190,8 @@ def bootstrap_ci(
     The reported ``mean_auroc`` is the point estimate on the full test set;
     the CI is the nearest-rank 2.5/97.5 percentile of replicate means. A
     label that degenerates to a single class inside a replicate is dropped
-    from that replicate's mean.
+    from that replicate's mean. For finite scores the replicate means equal,
+    bit for bit, those of ranking every resample with :func:`auroc`.
     """
     if n_bootstrap < 100:
         raise ConfigError(f"n_bootstrap must be >= 100, got {n_bootstrap}")
@@ -163,16 +207,30 @@ def bootstrap_ci(
     point = per_label_auroc(scores, labels, mask, label_names)
     point_mean = mean_auroc(point)
 
+    columns = [
+        _ranked_column(scores[:, j], labels[:, j], mask[:, j]) for j in range(scores.shape[1])
+    ]
     replicate_means: list[float] = []
-    for r in range(n_bootstrap):
-        idx = rng.child(f"boot:{r}").integers(0, n, size=n)
-        rep = per_label_auroc(scores[idx], labels[idx], mask[idx], label_names)
-        defined = [v for v in rep.values() if v is not None]
-        if not defined:
-            raise MetricError(
-                f"bootstrap replicate {r}: no label has a defined AUROC"
-            )
-        replicate_means.append(float(sum(defined) / len(defined)))
+    for first in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
+        block = range(first, min(first + _BOOTSTRAP_BLOCK, n_bootstrap))
+        # counts[b, i]: how often replicate first + b drew row i
+        counts = np.stack(
+            [np.bincount(rng.child(f"boot:{r}").integers(0, n, size=n), minlength=n)
+             for r in block]
+        )
+        total = np.zeros(len(block))
+        n_defined = np.zeros(len(block), dtype=np.int64)
+        # label by label, so each replicate sums its AUROCs in label order
+        for column in columns:
+            if column is None:
+                continue
+            auc, defined = _count_auroc(counts, *column)
+            np.add(total, auc, out=total, where=defined)
+            n_defined += defined
+        if not n_defined.all():
+            r = block[int(np.argmin(n_defined))]
+            raise MetricError(f"bootstrap replicate {r}: no label has a defined AUROC")
+        replicate_means.extend((total / n_defined).tolist())
 
     ordered = np.sort(np.asarray(replicate_means))
     ci = (_nearest_rank(ordered, 0.025), _nearest_rank(ordered, 0.975))

@@ -1,11 +1,15 @@
 """Checkpoint container format and bit-exact global-model round-trips."""
 
 import json
+import math
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fedfbn import checkpoint
 from fedfbn.checkpoint import (
     MAGIC,
     load_global,
@@ -61,6 +65,22 @@ def test_archive_round_trip(tmp_path):
     assert meta == {"note": 7}
     assert back.keys() == tensors.keys()
     assert all(np.array_equal(back[k], tensors[k]) for k in tensors)
+
+
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.ckpt"
+    write_archive(path, "blob", {}, {"x": np.ones(3)})
+    before = path.read_bytes()
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    # the header length is packed after the magic bytes are already written
+    monkeypatch.setattr(checkpoint, "struct", SimpleNamespace(pack=disk_full))
+    with pytest.raises(OSError, match="disk full"):
+        write_archive(path, "blob", {}, {"x": np.zeros(3)})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["t.ckpt"]
 
 
 def test_model_round_trip_is_bit_exact(tmp_path):
@@ -149,6 +169,8 @@ HEADER_DAMAGE = {
     "bn_nodes_without_fedbn": lambda h: h["meta"].update(strategy="fedavg"),
     "bn_nodes_missing_a_node": lambda h: h["meta"].update(bn_nodes=[0]),
     "negative_hidden_dim": lambda h: h["meta"]["spec"].update(hidden_dims=[-4, 3]),
+    "infinite_input_dim": lambda h: h["meta"]["spec"].update(input_dim=math.inf),
+    "float_overflow_bn_momentum": lambda h: h["meta"]["spec"].update(bn_momentum=10**400),
 }
 
 

@@ -110,10 +110,17 @@ def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, c
     good = json.loads(next(out.glob("report_*.json")).read_text())
     no_means = json.loads(json.dumps(good))
     del no_means["report"]["per_replicate_means"]
+    nan_mean = json.loads(json.dumps(good))
+    nan_mean["report"]["per_replicate_means"][0] = float("nan")
+    short = json.loads(json.dumps(good))
+    short["report"]["per_replicate_means"].pop()
     cases = {
         "not an object": ([1, 2], "JSON object"),
         "report not an object": (dict(good, report="oops"), "'report'"),
         "no per_replicate_means": (no_means, "report.per_replicate_means"),
+        "NaN replicate mean": (nan_mean, "report.per_replicate_means"),
+        "fewer means than replicates": (short, "report.per_replicate_means"),
+        "arm names a path": (dict(good, arm="../x"), "'arm'"),
     }
     bad = out / "report_zz_bad.json"
     for case, (doc, names) in cases.items():

@@ -190,6 +190,17 @@ def test_emit_reports_file_set(tmp_path):
     assert manifest["arm_errors"] == {}
     assert sorted(manifest["files"]) == [f for f in files if f != "manifest.json"]
     assert manifest["best_rounds"].keys() == {"fedfbn", "fedavg"}
+    # every file was moved into place: no temporary file is left behind
+    assert sorted(os.listdir(tmp_path)) == files
+
+
+def test_interrupted_text_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "summary.csv"
+    experiments._write_text(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        experiments._write_text(path, "new\n\ud800")  # a lone surrogate has no UTF-8
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["summary.csv"]
 
 
 def test_manifest_hash_tracks_config_text(tmp_path):

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedfbn.errors import ConfigError, MetricError
 from fedfbn.metrics import (
@@ -14,6 +16,7 @@ from fedfbn.metrics import (
     mean_auroc,
     paired_ttest,
     per_label_auroc,
+    undefined_labels,
 )
 from fedfbn.numerics import RngStream
 
@@ -195,6 +198,87 @@ def test_eval_report_json_round_trip():
     assert back == rep
     with pytest.raises(MetricError):
         EvalReport.from_json('{"schema_version": 999}')
+
+
+def reference_bootstrap_ci(scores, labels, mask, label_names, rng, n_bootstrap):
+    """Oracle: rank every resample anew with ``per_label_auroc``."""
+    scores, labels, mask = np.asarray(scores), np.asarray(labels), np.asarray(mask)
+    n = scores.shape[0]
+    point = per_label_auroc(scores, labels, mask, label_names)
+    point_mean = mean_auroc(point)
+    replicate_means = []
+    for r in range(n_bootstrap):
+        idx = rng.child(f"boot:{r}").integers(0, n, size=n)
+        rep = per_label_auroc(scores[idx], labels[idx], mask[idx], label_names)
+        defined = [v for v in rep.values() if v is not None]
+        if not defined:
+            raise MetricError(f"bootstrap replicate {r}: no label has a defined AUROC")
+        replicate_means.append(float(sum(defined) / len(defined)))
+    ordered = sorted(replicate_means)
+    lo = ordered[min(max(math.ceil(0.025 * n_bootstrap), 1), n_bootstrap) - 1]
+    hi = ordered[min(max(math.ceil(0.975 * n_bootstrap), 1), n_bootstrap) - 1]
+    return EvalReport(
+        per_label_auroc=point,
+        mean_auroc=point_mean,
+        ci95=(lo, hi),
+        n_bootstrap=n_bootstrap,
+        per_replicate_means=replicate_means,
+        seed=rng.seed,
+        undefined=undefined_labels(point),
+    )
+
+
+@st.composite
+def eval_cases(draw):
+    """Small test sets full of ties, masked rows and non-binary labels."""
+    n = draw(st.integers(1, 24))
+    n_labels = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(n_labels):
+        kind = draw(st.sampled_from(["constant", "coarse", "fine"]))
+        if kind == "constant":
+            values = st.just(0.5)
+        elif kind == "coarse":
+            values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+        else:
+            values = st.floats(-1e3, 1e3, allow_nan=False)
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+
+    def grid(values):
+        cells = draw(st.lists(values, min_size=n * n_labels, max_size=n * n_labels))
+        return np.array(cells).reshape(n, n_labels)
+
+    return (
+        np.array(columns).T,
+        grid(st.sampled_from([-1.0, 0.0, 0.0, 1.0, 1.0])),
+        grid(st.sampled_from([0.0, 1.0, 1.0, 1.0])),
+        draw(st.integers(100, 170)),  # mostly not a multiple of the block size
+        draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def _outcome(fn, scores, labels, mask, n_bootstrap, seed):
+    names = [f"l{j}" for j in range(scores.shape[1])]
+    try:
+        return fn(scores, labels, mask, names, RngStream(seed), n_bootstrap)
+    except MetricError as exc:
+        return f"MetricError: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=eval_cases())
+# two rows, one per class: some replicate draws one row twice and leaves no
+# label defined
+@example(case=(np.array([[0.1], [0.9]]), np.array([[0.0], [1.0]]), np.ones((2, 1)), 100, 0))
+def test_bootstrap_matches_per_replicate_ranking(case):
+    got = _outcome(bootstrap_ci, *case)
+    want = _outcome(reference_bootstrap_ci, *case)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.per_replicate_means == want.per_replicate_means
+    assert got.ci95 == want.ci95
+    assert got.to_json() == want.to_json()
 
 
 def test_paired_ttest_identical_samples():
