@@ -1,6 +1,7 @@
 """Scenario construction, the experiment driver, and report emission."""
 
 import csv
+import hashlib
 import json
 import os
 
@@ -101,6 +102,50 @@ def test_build_scenario_is_deterministic():
     assert a == b
     c = build_scenario(tiny_cfg(seed=12)).content_hashes()
     assert a != c
+
+
+# sha256 of each part of a scenario's layout at a tiny config with 14 labels;
+# a changed stream label, draw order or label slice changes one of them
+SCENARIO_LAYOUT_DIGESTS = {
+    "iid_complete": {
+        "content_hashes": "052584f63b3a51007fca3fc69d32460d72ef2304c851699a5ff2cc2ef68c19d4",
+        "node_labels": "0b77f29e8de95a754923dfbbc41c322f8703ca4c34de12e100c5ff590391a6a1",
+        "views": "19bfb0dc654b722d098132ee018faae837ba2e5af5c5ee1d8927cee855c8a11e",
+        "test_sets": "6f2b69f32fc45eb4bbcef716768fbbd014e737ce0e405a8a9668040edeb1b499",
+    },
+    "iid_partial": {
+        "content_hashes": "66adada770ffc7e79c01247e5384125d490ac0bccabb2c20f1f071d8fa54009d",
+        "node_labels": "aa15f001fac792fe1bfe13ddfea62e5f29611fc8127bb93d150a9756226ab48b",
+        "views": "2aa0a819874997dd9c40518af3e2a6d8477fd89b5a1f40dbb770502404494bd9",
+        "test_sets": "6f2b69f32fc45eb4bbcef716768fbbd014e737ce0e405a8a9668040edeb1b499",
+    },
+    "non_iid_complete": {
+        "content_hashes": "a4d7dd9385f059804a477b53d264e1592e54d461c3d4554b2a2f44f046f43f5a",
+        "node_labels": "6c7b2c2a68eae677ebaccb48ef10dc58669cb74fe0d6fb84c83c6379274c0167",
+        "views": "cc9debf78542a1bc76a077e20c3c229e261a271dfd3ec237818602da5449ff56",
+        "test_sets": "f87af0565bd9450aeb045bb2c7d5b66557f274210713480435835f7e04252578",
+    },
+    "non_iid_partial": {
+        "content_hashes": "c6ae3992df70316a52d6c0fd551f8a76d175df1c84a57837e5d8d46f75b72c86",
+        "node_labels": "aa15f001fac792fe1bfe13ddfea62e5f29611fc8127bb93d150a9756226ab48b",
+        "views": "2aa0a819874997dd9c40518af3e2a6d8477fd89b5a1f40dbb770502404494bd9",
+        "test_sets": "f87af0565bd9450aeb045bb2c7d5b66557f274210713480435835f7e04252578",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_LAYOUT_DIGESTS))
+def test_scenario_layout_is_pinned(scenario):
+    def digest(obj):
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    data = build_scenario(tiny_cfg(scenario=scenario, n_labels=14))
+    assert {
+        "content_hashes": digest(data.content_hashes()),
+        "node_labels": digest(data.node_labels),
+        "views": digest(list(data.views.items())),
+        "test_sets": digest(list(data.test_sets)),
+    } == SCENARIO_LAYOUT_DIGESTS[scenario]
 
 
 def test_patient_id_namespaces_do_not_collide():
