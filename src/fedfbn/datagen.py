@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, LabelError, ParseError, ShapeError
+from .errors import ConfigError, DataError, LabelError, ShapeError
 from .numerics import RngStream, Tensor
 
 
@@ -118,12 +118,6 @@ class LabelModel:
 
     def threshold_vector(self) -> Tensor:
         return np.asarray(self.thresholds, dtype=np.float64)
-
-    def prevalence(self) -> Tensor:
-        """Analytic marginal P(label=1) under the standard normal latent."""
-        w = self.weight_matrix()
-        norms = np.sqrt((w**2).sum(axis=1))
-        return gaussian_cdf(-self.threshold_vector() / norms)
 
     @classmethod
     def sample(
@@ -387,117 +381,26 @@ def concat_naive(a: Dataset, b: Dataset) -> Dataset:
     )
 
 
-@dataclass(frozen=True)
-class TabularSchema:
-    """Column names binding a delimited file to a Dataset."""
+def save_tabular(ds: Dataset, fh) -> None:
+    """Write ``ds`` as comma-separated text to an open text handle.
 
-    patient_col: str
-    feature_cols: tuple[str, ...]
-    label_cols: tuple[str, ...]
-
-
-def default_schema(ds: Dataset) -> TabularSchema:
-    return TabularSchema(
-        patient_col="patient_id",
-        feature_cols=tuple(f"f{i}" for i in range(ds.feature_dim)),
-        label_cols=tuple(ds.label_names),
-    )
-
-
-def save_tabular(ds: Dataset, path, schema: TabularSchema | None = None) -> None:
-    """Write a comma-separated file; blank label cells mean unobserved.
-
-    Features use 17 significant digits, so float64 values survive the
-    round-trip exactly.
+    Columns: ``patient_id``, ``f0..f<D-1>``, then one per label. Features
+    use 17 significant digits, so float64 values survive the round-trip
+    exactly; a blank label cell means unobserved (mask 0).
     """
-    schema = schema or default_schema(ds)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [schema.patient_col, *schema.feature_cols, *schema.label_cols]
-        )
-        for i in range(ds.n):
-            row = [str(int(ds.patient_ids[i]))]
-            row.extend(f"{v:.17g}" for v in ds.features[i])
-            for j in range(len(schema.label_cols)):
-                if ds.mask[i, j] == 0:
-                    row.append("")
-                else:
-                    row.append(str(int(ds.labels[i, j])))
-            writer.writerow(row)
-
-
-def load_tabular(path, schema: TabularSchema) -> Dataset:
-    """Parse a delimited file into a Dataset per the schema.
-
-    Labels accept 0, 1, -1, or blank (blank = unobserved, mask 0). Parse
-    failures name the offending row and column.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        needed = [schema.patient_col, *schema.feature_cols, *schema.label_cols]
-        for name in needed:
-            if name not in col_index:
-                raise ParseError(f"{path}: missing column '{name}'")
-        pid_i = col_index[schema.patient_col]
-        feat_i = [col_index[c] for c in schema.feature_cols]
-        lab_i = [col_index[c] for c in schema.label_cols]
-
-        pids, feats, labs, masks = [], [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            try:
-                pids.append(int(row[pid_i]))
-            except (ValueError, IndexError):
-                raise ParseError(
-                    f"{path}: row {rownum}, column '{schema.patient_col}': "
-                    "expected an integer patient id"
-                ) from None
-            frow = []
-            for name, i in zip(schema.feature_cols, feat_i):
-                try:
-                    frow.append(float(row[i]))
-                except (ValueError, IndexError):
-                    raise ParseError(
-                        f"{path}: row {rownum}, column '{name}': not numeric"
-                    ) from None
-            feats.append(frow)
-            lrow, mrow = [], []
-            for name, i in zip(schema.label_cols, lab_i):
-                cell = row[i].strip() if i < len(row) else ""
-                if cell == "":
-                    lrow.append(0.0)
-                    mrow.append(0.0)
-                    continue
-                try:
-                    val = float(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {rownum}, column '{name}': not numeric"
-                    ) from None
-                if val not in (0.0, 1.0, -1.0):
-                    raise ParseError(
-                        f"{path}: row {rownum}, column '{name}': "
-                        f"label must be 0, 1, -1, or blank, got {cell}"
-                    )
-                lrow.append(val)
-                mrow.append(1.0)
-            labs.append(lrow)
-            masks.append(mrow)
-
-    if not pids:
-        raise ParseError(f"{path}: no data rows")
-    return Dataset(
-        features=np.asarray(feats, dtype=np.float64),
-        labels=np.asarray(labs, dtype=np.float64),
-        mask=np.asarray(masks, dtype=np.float64),
-        patient_ids=np.asarray(pids, dtype=np.int64),
-        label_names=tuple(schema.label_cols),
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(
+        ["patient_id", *(f"f{i}" for i in range(ds.feature_dim)), *ds.label_names]
     )
+    for i in range(ds.n):
+        row = [str(int(ds.patient_ids[i]))]
+        row.extend(f"{v:.17g}" for v in ds.features[i])
+        for j in range(len(ds.label_names)):
+            if ds.mask[i, j] == 0:
+                row.append("")
+            else:
+                row.append(str(int(ds.labels[i, j])))
+        writer.writerow(row)
 
 
 def shifted_domain(

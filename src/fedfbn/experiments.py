@@ -19,6 +19,8 @@ repr() floats and sorted JSON keys, and nothing records wall-clock time.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import hashlib
 import json
 import os
@@ -50,7 +52,7 @@ from .federation import (
     run_federation,
 )
 from .metrics import EvalReport, paired_ttest
-from .network import Model, ModelSpec, model_copy, pretrain_backbone, warmup_heads, with_heads
+from .network import Model, ModelSpec, pretrain_backbone, warmup_heads, with_heads
 from .numerics import RngStream
 
 REPORT_PREFIX = "report_"
@@ -78,7 +80,8 @@ class ScenarioData:
     pretrain: Dataset
     source_labels: tuple[str, ...]
 
-    def content_hashes(self) -> dict[str, str]:
+    def parts(self) -> dict[str, Dataset]:
+        """Every named dataset, in name order."""
         parts: dict[str, Dataset] = {
             "pretrain": self.pretrain,
             "pooled_train": self.pooled_train,
@@ -89,17 +92,24 @@ class ScenarioData:
             parts[f"node{i}_val"] = self.node_val[i]
         for name, ds in self.test_sets.items():
             parts[f"test_{name}"] = ds
-        return {name: ds.content_hash() for name, ds in sorted(parts.items())}
+        return dict(sorted(parts.items()))
+
+    def content_hashes(self) -> dict[str, str]:
+        return {name: ds.content_hash() for name, ds in self.parts().items()}
 
 
-def _label_topology(cfg: ExperimentConfig, names: tuple[str, ...], master: RngStream):
-    """11/7 node subsets sharing 4 labels, drawn from one permutation."""
-    perm = master.child("label-topology").permutation(len(names))
-    ordered = [names[i] for i in perm]
-    node0 = tuple(ordered[0:11])
-    node1 = tuple(ordered[7:14])
-    shared = tuple(ordered[7:11])
-    return node0, node1, shared
+# Label layout per scenario: (node0 labels, node1 labels, {view: labels}).
+# A slice picks from the one `label-topology` permutation of the label
+# names; None is every label in name order.
+_PARTIAL = (slice(0, 11), slice(7, 14), {
+    "all": None, "shared": slice(7, 11), "node0": slice(0, 11), "node1": slice(7, 14),
+})
+_LABEL_LAYOUT = {
+    "iid_complete": (None, None, {"all": None}),
+    "iid_partial": _PARTIAL,
+    "non_iid_complete": (slice(0, 7), slice(0, 7), {"shared": slice(0, 7)}),
+    "non_iid_partial": _PARTIAL,
+}
 
 
 def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
@@ -182,23 +192,12 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
             "external": external,
         }
 
-    if cfg.scenario == "iid_complete":
-        node_labels = [names, names]
-        views = {"all": names}
-    elif cfg.scenario == "non_iid_complete":
-        perm = master.child("label-topology").permutation(len(names))
-        shared7 = tuple(names[i] for i in perm[:7])
-        node_labels = [shared7, shared7]
-        views = {"shared": shared7}
-    else:
-        node0_labels, node1_labels, shared = _label_topology(cfg, names, master)
-        node_labels = [node0_labels, node1_labels]
-        views = {
-            "all": names,
-            "shared": shared,
-            "node0": node0_labels,
-            "node1": node1_labels,
-        }
+    perm = master.child("label-topology").permutation(len(names))
+    ordered = tuple(names[i] for i in perm)
+    pick = lambda part: names if part is None else ordered[part]
+    node0_part, node1_part, view_parts = _LABEL_LAYOUT[cfg.scenario]
+    node_labels = [pick(node0_part), pick(node1_part)]
+    views = {view: pick(part) for view, part in view_parts.items()}
 
     node_train = [
         train0.project_labels(node_labels[0]),
@@ -268,11 +267,8 @@ def _bn_variants(gm: GlobalModel, test_name: str) -> list[tuple[str, int | None]
     if gm.per_node_bn is None:
         return [("", None)]
     node_ids = sorted(gm.per_node_bn)
-    if test_name == "internal_node0":
-        return [("node0", 0)]
-    if test_name == "internal_node1":
-        return [("node1", 1)]
-    return [(f"node{i}", i) for i in node_ids]
+    own = [i for i in node_ids if test_name == f"internal_node{i}"]
+    return [(f"node{i}", i) for i in own or node_ids]
 
 
 def _execute_arm(
@@ -309,7 +305,7 @@ def _execute_arm(
             node_id=node_id,
             train=train,
             val=val,
-            model=model_copy(model),
+            model=copy.deepcopy(model),
             rng=master.child(f"batches:{stream}"),
             lr=lr,
             batch_size=cfg.batch_size,
@@ -334,11 +330,6 @@ def _execute_arm(
         ds = data.test_sets[test_name]
         labels = data.views[view_name]
         for variant, node_id in _bn_variants(fed.best, test_name):
-            # A per-node model only owns the heads its node trained; other
-            # labels fall to chance, same as labels no arm ever saw.
-            allowed = None
-            if node_id is not None:
-                allowed = fed.best.node_labels[node_id]
             result.reports[(test_name, view_name, variant)] = evaluate_global(
                 fed.best,
                 ds,
@@ -346,8 +337,6 @@ def _execute_arm(
                 rng=master.child(f"eval:{test_name}:{view_name}"),
                 n_bootstrap=cfg.n_bootstrap,
                 node_id=node_id,
-                missing="chance",
-                allowed_heads=allowed,
             )
     return result
 
@@ -569,8 +558,14 @@ def _write_text(path, text: str) -> None:
 
 
 def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[str]:
-    """Write every run artifact; returns the relative file names written."""
+    """Write every run artifact; returns the relative file names written.
+
+    ``manifest.json`` marks a complete run: an old one is removed before
+    anything else is written, and the new one is written last.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "manifest.json"))
     files: list[str] = []
 
     def _write(name: str, text: str) -> None:
@@ -669,17 +664,37 @@ def _check_envelope(env, path) -> None:
         )
 
 
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (FileNotFoundError, IsADirectoryError) as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ParseError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _is_file_name(value) -> bool:
+    return isinstance(value, str) and "\0" not in value and os.path.basename(value) == value
+
+
 def load_envelopes(in_dir) -> list[dict]:
+    """The report envelopes that ``in_dir``'s manifest lists.
+
+    Only a finished run has a manifest, so stale or partial envelopes of
+    another run in the same directory are never read.
+    """
+    manifest = _read_json(os.path.join(in_dir, "manifest.json"))
+    listed = manifest.get("files") if isinstance(manifest, dict) else None
+    if not _list_of(_is_file_name)(listed):
+        raise ParseError(f"{in_dir}: manifest.json must be an object whose 'files' "
+                         "is a list of bare file names")
     envelopes = []
-    for name in sorted(os.listdir(in_dir)):
+    for name in sorted(set(listed)):
         if not (name.startswith(REPORT_PREFIX) and name.endswith(".json")):
             continue
         path = os.path.join(in_dir, name)
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                env = json.load(fh)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise ParseError(f"{path}: invalid JSON: {exc}") from None
+        env = _read_json(path)
         _check_envelope(env, path)
         envelopes.append(env)
     if not envelopes:
@@ -704,18 +719,14 @@ def write_datasets(cfg: ExperimentConfig, out_dir) -> list[str]:
     """Materialize the scenario's datasets as tabular files (gen-data)."""
     data = build_scenario(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    parts: dict[str, Dataset] = {"pretrain": data.pretrain}
-    for i in range(2):
-        parts[f"node{i}_train"] = data.node_train[i]
-        parts[f"node{i}_val"] = data.node_val[i]
-    for name, ds in data.test_sets.items():
-        parts[f"test_{name}"] = ds
     files = []
     index = {}
-    for name in sorted(parts):
-        ds = parts[name]
+    for name, ds in data.parts().items():
+        if name.startswith("pooled_"):
+            continue  # the node sets, stacked
         fname = f"{name}.csv"
-        save_tabular(ds, os.path.join(out_dir, fname))
+        with atomic_open(os.path.join(out_dir, fname), "w", encoding="utf-8", newline="") as fh:
+            save_tabular(ds, fh)
         files.append(fname)
         index[name] = {
             "file": fname,

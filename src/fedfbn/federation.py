@@ -447,27 +447,20 @@ def evaluate_global(
     rng: RngStream,
     n_bootstrap: int = 1000,
     node_id: int | None = None,
-    missing: str = "error",
-    allowed_heads=None,
 ) -> EvalReport:
     """Bootstrap-evaluate a global model on a label view of ``ds``.
 
-    ``missing`` decides what to do about requested labels the model has no
-    head for: "error" refuses, "chance" scores them at a constant 0.5,
-    which the tie-handling AUROC grades as exactly 0.5 when defined.
-    ``allowed_heads`` restricts which heads may answer; a personalized
-    (per-node) model is scored by passing the labels that node owns, so
-    everything else falls to chance as well.
+    ``node_id`` scores that node's model: its batch norm under FEDBN, and
+    only the heads the node trained. A requested label with no usable head
+    scores a constant 0.5, which the tie-handling AUROC grades as exactly
+    0.5 when defined.
     """
     labels = tuple(labels)
     proj = ds.project_labels(labels)
     if ((proj.labels == -1.0) & (proj.mask == 1.0)).any():
         raise DataError("evaluation labels must be recoded (u-zeros) first")
-    usable = set(gm.label_names if allowed_heads is None else allowed_heads)
-    absent = [l for l in labels if l not in gm.label_names or l not in usable]
-    if absent and missing != "chance":
-        raise LabelError(f"model has no usable head for {absent}")
-    present = [l for l in labels if l in gm.label_names and l in usable]
+    usable = gm.label_names if node_id is None else gm.node_labels[node_id]
+    present = [l for l in labels if l in usable]
     if not present:
         raise LabelError("no requested label has a trained head")
     model = gm.materialize(present, node_id=node_id)

@@ -160,22 +160,6 @@ class EvalReport:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        doc = json.loads(text)
-        version = doc.get("schema_version")
-        if version != _REPORT_SCHEMA_VERSION:
-            raise MetricError(f"unsupported report schema version: {version}")
-        return cls(
-            per_label_auroc=dict(doc["per_label_auroc"]),
-            mean_auroc=doc["mean_auroc"],
-            ci95=(doc["ci95"][0], doc["ci95"][1]),
-            n_bootstrap=doc["n_bootstrap"],
-            per_replicate_means=list(doc["per_replicate_means"]),
-            seed=doc["seed"],
-            undefined=list(doc["undefined_labels"]),
-        )
-
 
 def bootstrap_ci(
     scores,

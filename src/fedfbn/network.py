@@ -18,7 +18,6 @@ Evaluation always uses running statistics and mutates nothing.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -98,10 +97,6 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
         shapes[f"{HEAD_PREFIX}{label}/weight"] = (fan_in, 1)
         shapes[f"{HEAD_PREFIX}{label}/bias"] = (1,)
     return shapes
-
-
-def model_copy(model: Model) -> Model:
-    return copy.deepcopy(model)
 
 
 def _init_tensor(rng: RngStream, key: str, shape: tuple[int, ...]) -> Tensor:

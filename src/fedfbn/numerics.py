@@ -54,30 +54,15 @@ def _derive_seed(parent_seed: int, label: bytes) -> int:
 class RngStream:
     """Deterministic random stream with label-based splitting.
 
-    The stream is a Philox counter generator keyed by ``seed`` and advanced
-    to ``counter`` 256-bit blocks. Identical ``(seed, counter)`` pairs
-    reproduce identical draw sequences. A stream is single-owner mutable
+    The stream is a Philox counter generator keyed by ``seed``; identical
+    seeds reproduce identical draw sequences. A stream is single-owner mutable
     state; share work across owners by deriving children, not by handing
     out the same stream twice.
     """
 
-    def __init__(self, seed: int, counter: int = 0):
+    def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
-        bitgen = np.random.Philox(key=self.seed)
-        if counter:
-            bitgen.advance(int(counter))  # advance() counts 256-bit blocks
-        self._bitgen = bitgen
-        self._gen = np.random.Generator(bitgen)
-
-    @property
-    def counter(self) -> int:
-        """Low word of the Philox block counter.
-
-        Block-level position only: draws buffered inside a partially
-        consumed block are not represented, so this is for diagnostics and
-        seeding fresh streams, not for splicing a live stream mid-draw.
-        """
-        return int(self._bitgen.state["state"]["counter"][0])
+        self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def child(self, label: str | bytes) -> "RngStream":
         """Derive an independent stream from this stream's seed and a label.
@@ -105,7 +90,4 @@ class RngStream:
 
     def random(self, shape=()) -> Tensor:
         return self._gen.random(size=shape)
-
-    def __repr__(self) -> str:
-        return f"RngStream(seed={self.seed:#018x}, counter={self.counter})"
 

@@ -6,6 +6,7 @@ two directional experiment criteria (06, 07) run the full desk-scale
 protocol over ten master seeds each and dominate the suite's runtime.
 """
 
+import copy
 import json
 import math
 import os
@@ -40,7 +41,6 @@ from fedfbn.network import (
     backward,
     evaluate_loss,
     init_model,
-    model_copy,
     pretrain_backbone,
     warmup_heads,
     with_heads,
@@ -61,7 +61,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 
 
 def _fd_loss(model, key, index, delta, x, y, mask, policy):
-    probe = model_copy(model)
+    probe = copy.deepcopy(model)
     probe.params[key].flat[index] += delta
     loss, _ = backward(probe, x, y, mask, policy)
     return loss
@@ -94,7 +94,7 @@ def test_c01_gradients_match_finite_differences():
         mask.flat[int(rng.integers(0, mask.size))] = 0.0
         if not mask.sum():
             mask[:] = 1.0
-        _, grads = backward(model_copy(model), x, y, mask, policy)
+        _, grads = backward(copy.deepcopy(model), x, y, mask, policy)
         for key, g in grads.items():
             for i in range(g.size):
                 up = _fd_loss(model, key, i, +h, x, y, mask, policy)

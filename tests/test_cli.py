@@ -91,8 +91,8 @@ def test_gen_data_writes_csvs_and_index(tiny_config, tmp_path):
     names = set(os.listdir(out))
     assert "datasets.json" in names
     index = json.loads((out / "datasets.json").read_text())
-    for entry in index["datasets"].values():
-        assert entry["file"] in names
+    # every file was moved into place: no temporary file is left behind
+    assert names == {e["file"] for e in index["datasets"].values()} | {"datasets.json"}
 
 
 def test_report_rerenders_in_place(tiny_config, tmp_path):
@@ -123,6 +123,9 @@ def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, c
         "arm names a path": (dict(good, arm="../x"), "'arm'"),
     }
     bad = out / "report_zz_bad.json"
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["files"].append(bad.name)
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     for case, (doc, names) in cases.items():
         bad.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
@@ -133,6 +136,28 @@ def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, c
         assert payload["error"] == "ParseError", case
         assert "report_zz_bad.json" in payload["message"], case
         assert names in payload["message"], case
+
+
+def test_report_reads_only_the_envelopes_the_manifest_lists(tiny_config, tmp_path, capsys):
+    out = tmp_path / "run_out"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+    assert main([
+        "run", "--config", str(tiny_config), "--out", str(out),
+        "--seed", "5", "--arms", "fedavg",
+    ]) == 0
+    # the first run's fedfbn envelopes are still there, but not listed
+    assert list(out.glob("report_fedfbn_*.json"))
+    summary = (out / "summary.csv").read_bytes()
+    (out / "summary.csv").unlink()
+    assert main(["report", "--in", str(out)]) == 0
+    assert (out / "summary.csv").read_bytes() == summary
+    # without a manifest the run is incomplete, and nothing is trusted
+    (out / "manifest.json").unlink()
+    capsys.readouterr()
+    assert main(["report", "--in", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR {"), lines
+    assert json.loads(lines[0][len("ERROR "):])["error"] == "ParseError"
 
 
 def test_bad_config_exits_nonzero_with_error_line(tmp_path, capsys):

@@ -1,4 +1,8 @@
-"""Synthetic data generation, splits, label plumbing, and tabular io."""
+"""Synthetic data generation, splits, label plumbing, and tabular output."""
+
+import csv
+import io
+import math
 
 import numpy as np
 import pytest
@@ -7,25 +11,30 @@ from fedfbn.datagen import (
     Dataset,
     DomainSpec,
     LabelModel,
-    TabularSchema,
     apply_u_zeros,
     concat_naive,
-    default_schema,
     gaussian_cdf,
     gaussian_quantile,
     generate,
-    load_tabular,
     make_iid_halves,
     save_tabular,
     shifted_domain,
     split_by_patient,
 )
-from fedfbn.errors import ConfigError, DataError, ParseError, ShapeError
+from fedfbn.errors import ConfigError, DataError, ShapeError
 from fedfbn.numerics import RngStream
 
 
 def small_label_model(seed=1, n_labels=4, latent_dim=6, u=0.0):
     return LabelModel.sample(n_labels, latent_dim, RngStream(seed), uncertain_rate=u)
+
+
+def analytic_prevalence(lm):
+    """P(label = 1) under the standard normal latent: the Gaussian tail."""
+    return np.array([
+        0.5 * math.erfc(c / (math.sqrt(2.0) * float(np.linalg.norm(w))))
+        for w, c in zip(lm.weights, lm.thresholds)
+    ])
 
 
 def small_dataset(seed=2, n_patients=60, u=0.0, noise=0.1):
@@ -41,7 +50,7 @@ def test_gaussian_quantile_inverts_cdf():
 
 def test_label_model_prevalence_in_bounds():
     lm = LabelModel.sample(14, 16, RngStream(5))
-    prev = lm.prevalence()
+    prev = analytic_prevalence(lm)
     assert ((prev > 0.05) & (prev < 0.6)).all()
 
 
@@ -79,7 +88,7 @@ def test_generate_prevalence_matches_gaussian_tail():
     pids, first_rows = np.unique(ds.patient_ids, return_index=True)
     per_patient = ds.labels[first_rows]
     empirical = (per_patient == 1.0).mean(axis=0)
-    assert np.max(np.abs(empirical - lm.prevalence())) < 0.05
+    assert np.max(np.abs(empirical - analytic_prevalence(lm))) < 0.05
 
 
 def test_generate_uncertain_recoding():
@@ -211,45 +220,26 @@ def test_concat_naive_shape_mismatch():
         concat_naive(a, wrong)
 
 
-def test_tabular_round_trip(tmp_path):
+def test_save_tabular_writes_every_value_exactly():
     ds = small_dataset(seed=34, n_patients=25, u=0.2)
     ds.mask[3, 1] = 0.0
-    path = tmp_path / "ds.csv"
-    save_tabular(ds, path)
-    back = load_tabular(path, default_schema(ds))
-    assert np.max(np.abs(back.features - ds.features)) <= 1e-9
-    assert np.array_equal(back.patient_ids, ds.patient_ids)
-    assert np.array_equal(back.mask, ds.mask)
-    observed = ds.mask == 1.0
-    assert np.array_equal(back.labels[observed], ds.labels[observed])
-
-
-def test_tabular_blank_cell_means_unobserved(tmp_path):
-    path = tmp_path / "tiny.csv"
-    path.write_text(
-        "patient_id,f0,lab\n1,0.5,1\n2,0.25,\n", encoding="utf-8"
-    )
-    schema = TabularSchema("patient_id", ("f0",), ("lab",))
-    ds = load_tabular(path, schema)
-    assert ds.mask[0, 0] == 1.0
-    assert ds.mask[1, 0] == 0.0
-    assert ds.labels[1, 0] == 0.0
-
-
-def test_tabular_errors_name_the_location(tmp_path):
-    schema = TabularSchema("patient_id", ("f0",), ("lab",))
-    missing = tmp_path / "missing_col.csv"
-    missing.write_text("patient_id,lab\n1,1\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="f0"):
-        load_tabular(missing, schema)
-    bad = tmp_path / "bad_cell.csv"
-    bad.write_text("patient_id,f0,lab\n1,abc,1\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="f0"):
-        load_tabular(bad, schema)
-    badlab = tmp_path / "bad_label.csv"
-    badlab.write_text("patient_id,f0,lab\n1,0.5,7\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="lab"):
-        load_tabular(badlab, schema)
+    assert (ds.labels == -1.0).any()
+    buf = io.StringIO()
+    save_tabular(ds, buf)
+    header, *rows = csv.reader(io.StringIO(buf.getvalue()))
+    d = ds.feature_dim
+    assert header == ["patient_id", *(f"f{i}" for i in range(d)), *ds.label_names]
+    assert len(rows) == ds.n
+    for i, row in enumerate(rows):
+        assert int(row[0]) == ds.patient_ids[i]
+        # 17 significant digits give back the same float64, bit for bit
+        features = np.array([float(cell) for cell in row[1 : 1 + d]])
+        assert features.tobytes() == ds.features[i].tobytes()
+        for j, cell in enumerate(row[1 + d :]):
+            want = "" if ds.mask[i, j] == 0.0 else str(int(ds.labels[i, j]))
+            assert cell == want, (i, j)
+    assert rows[3][1 + d + 1] == ""
+    assert any("-1" in row[1 + d :] for row in rows)
 
 
 def test_shifted_domain_changes_only_offsets():

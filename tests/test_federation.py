@@ -32,7 +32,6 @@ from fedfbn.network import (
     BnPolicy,
     ModelSpec,
     init_model,
-    model_copy,
     train_epochs,
     warmup_heads,
     with_heads,
@@ -298,7 +297,7 @@ def test_aggregate_validates_bundles():
 
 def test_single_node_federation_equals_local_training():
     node = make_node(0, ("a", "b"), seed=31)
-    mirror = model_copy(node.model)
+    mirror = copy.deepcopy(node.model)
     mirror_rng = RngStream(31 + 200)
     fed = run_federation([node], Strategy.FEDAVG, rounds=1, local_epochs=1)
     train_epochs(
@@ -445,18 +444,15 @@ def test_evaluate_global_label_handling():
     )
     # "nope" exists in the data but the model has no head for it
     with pytest.raises(LabelError):
-        evaluate_global(gm, ds, ("a", "nope"), RngStream(8), n_bootstrap=100)
-    padded = evaluate_global(
-        gm, ds, ("a", "nope"), RngStream(8), n_bootstrap=100, missing="chance"
-    )
-    assert padded.per_label_auroc["nope"] is not None
-    restricted = evaluate_global(
-        gm, ds, ("a", "b"), RngStream(8), n_bootstrap=100,
-        missing="chance", allowed_heads=("a",),
-    )
+        evaluate_global(gm, ds, ("nope",), RngStream(8), n_bootstrap=100)
+    padded = evaluate_global(gm, ds, ("a", "nope"), RngStream(8), n_bootstrap=100)
+    assert padded.per_label_auroc["nope"] == 0.5
+    # node 1 trained b and c, so its model has no usable head for a
+    node1 = evaluate_global(gm, ds, ("a", "b"), RngStream(8), n_bootstrap=100, node_id=1)
     full = evaluate_global(gm, ds, ("a", "b"), RngStream(8), n_bootstrap=100)
-    assert restricted.per_label_auroc["a"] == full.per_label_auroc["a"]
-    assert restricted.per_label_auroc["b"] != full.per_label_auroc["b"]
+    assert node1.per_label_auroc["a"] == 0.5
+    assert full.per_label_auroc["a"] != 0.5
+    assert node1.per_label_auroc["b"] == full.per_label_auroc["b"]
 
 
 def test_global_checkpoint_round_trips(tmp_path):

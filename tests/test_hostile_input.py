@@ -133,12 +133,20 @@ def envelopes():
     ]
 
 
-def write_run_dir(run_dir, envelopes, victim, bad):
+def manifest_of(envelopes):
+    return {"schema_version": 1, "files": sorted(map(_envelope_name, envelopes))}
+
+
+def write_run_dir(run_dir, envelopes, victim, bad, manifest=None):
+    """The envelopes, ``bad`` in place of the victim's, and a manifest listing them."""
     for path in run_dir.iterdir():
         path.unlink()
     for i, env in enumerate(envelopes):
         text = json.dumps(bad if i == victim else env)
         (run_dir / _envelope_name(env)).write_text(text, encoding="utf-8")
+    if manifest is None:
+        manifest = manifest_of(envelopes)
+    (run_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def test_every_envelope_place_with_edge_values(tmp_path, envelopes):
@@ -164,3 +172,37 @@ def test_envelopes_that_disagree_on_n_bootstrap(tmp_path, envelopes):
     write_run_dir(tmp_path, envelopes, 1, short)
     with pytest.raises(ParseError, match="disagree on n_bootstrap"):
         rerender_reports(tmp_path)
+
+
+def test_every_manifest_place_with_edge_values(tmp_path, envelopes):
+    manifest = manifest_of(envelopes)
+    for place in places(manifest):
+        for value in EDGE_VALUES:
+            write_run_dir(tmp_path, envelopes, None, None, damaged(manifest, place, value))
+            loads_or_parse_error(rerender_reports, tmp_path)
+    # a listed name that is not a bare file name
+    name = manifest["files"][0]
+    for bad in ("../" + name, "sub/" + name, name.replace("_", "_\0", 1)):
+        write_run_dir(tmp_path, envelopes, None, None, {"files": [bad]})
+        with pytest.raises(ParseError, match="bare file names"):
+            rerender_reports(tmp_path)
+    # a manifest that is not an object, or none at all
+    for value in EDGE_VALUES[1:]:
+        (tmp_path / "manifest.json").write_text(json.dumps(value), encoding="utf-8")
+        with pytest.raises(ParseError, match="manifest.json"):
+            rerender_reports(tmp_path)
+    # a listed envelope that is a directory
+    (tmp_path / "manifest.json").write_text('{"files": ["report_dir.json"]}')
+    (tmp_path / "report_dir.json").mkdir()
+    with pytest.raises(ParseError, match="report_dir.json"):
+        rerender_reports(tmp_path)
+    (tmp_path / "manifest.json").unlink()
+    with pytest.raises(ParseError, match="manifest.json"):
+        rerender_reports(tmp_path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_manifest(tmp_path, envelopes, data):
+    write_run_dir(tmp_path, envelopes, None, None, draw_damage(manifest_of(envelopes), data))
+    loads_or_parse_error(rerender_reports, tmp_path)

@@ -191,15 +191,6 @@ def test_bootstrap_width_shrinks_with_test_size():
     assert float(np.median(widths[2000])) < float(np.median(widths[200]))
 
 
-def test_eval_report_json_round_trip():
-    scores, labels, mask = _toy_eval(50, 21)
-    rep = bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(22), 100)
-    back = EvalReport.from_json(rep.to_json())
-    assert back == rep
-    with pytest.raises(MetricError):
-        EvalReport.from_json('{"schema_version": 999}')
-
-
 def reference_bootstrap_ci(scores, labels, mask, label_names, rng, n_bootstrap):
     """Oracle: rank every resample anew with ``per_label_auroc``."""
     scores, labels, mask = np.asarray(scores), np.asarray(labels), np.asarray(mask)

@@ -14,7 +14,6 @@ from fedfbn.network import (
     evaluate_loss,
     init_model,
     masked_bce,
-    model_copy,
     predict,
     pretrain_backbone,
     sgd_step,
@@ -189,15 +188,15 @@ def test_masked_bce_all_unobserved_is_error():
 
 def fd_gradients(model, x, y, mask, policy, h=1e-5):
     """Central finite differences over every tensor backward reports."""
-    _, grads = backward(model_copy(model), x, y, mask, policy)
+    _, grads = backward(copy.deepcopy(model), x, y, mask, policy)
     out = {}
     for key, g in grads.items():
         fd = np.zeros_like(g)
         for i in range(g.size):
-            plus = model_copy(model)
+            plus = copy.deepcopy(model)
             plus.params[key].flat[i] += h
             loss_p, _ = backward(plus, x, y, mask, policy)
-            minus = model_copy(model)
+            minus = copy.deepcopy(model)
             minus.params[key].flat[i] -= h
             loss_m, _ = backward(minus, x, y, mask, policy)
             fd.flat[i] = (loss_p - loss_m) / (2.0 * h)
