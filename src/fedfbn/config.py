@@ -1,16 +1,10 @@
 """Experiment configuration: a strict INI schema, full-protocol defaults.
 
-Four sections are recognized (all optional, every key has a default):
-
-  [experiment]  scenario, seed, rounds, arms, n_bootstrap
-  [data]        n_patients_per_node, latent_dim, feature_dim, n_labels,
-                shift_magnitude, noise_std, uncertain_rate, images_per_patient
-  [model]       hidden_dims, bn_momentum, bn_eps
-  [training]    local_epochs, batch_size, lr, node_lrs, warmup_epochs,
-                warmup_lr, pretrain_epochs, pretrain_lr, weighting
-
-Unknown sections or keys are refused outright so typos cannot silently
-fall back to defaults.
+Four sections are recognized, ``[experiment]``, ``[data]``, ``[model]`` and
+``[training]``; ``_SECTIONS`` lists their keys, each an ``ExperimentConfig``
+field whose annotation picks its parser. All are optional, every key has a
+default. Unknown sections or keys are refused outright so typos cannot
+silently fall back to defaults.
 """
 
 from __future__ import annotations
@@ -18,7 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
@@ -91,16 +85,19 @@ class ExperimentConfig:
             raise ConfigError("n_bootstrap must be >= 100")
         if self.node_lrs is not None and len(self.node_lrs) != 2:
             raise ConfigError("node_lrs must list exactly two rates")
+        if self.node_lrs is not None and min(self.node_lrs) <= 0:
+            raise ConfigError("node_lrs entries must be positive")
         for name in (
             "n_patients_per_node",
             "latent_dim",
             "feature_dim",
             "n_labels",
             "local_epochs",
-            "batch_size",
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be >= 2: batch statistics need two rows")
         if self.warmup_epochs < 0 or self.pretrain_epochs < 0:
             raise ConfigError("warm-up and pretrain epochs must be >= 0")
         for name in ("lr", "warmup_lr", "pretrain_lr"):
@@ -131,11 +128,6 @@ def node_learning_rates(cfg: "ExperimentConfig") -> tuple[float, float]:
     if cfg.scenario.startswith("non_iid"):
         return (cfg.lr, 5.0 * cfg.lr)
     return (cfg.lr, cfg.lr)
-
-
-# section -> key -> (parser, target field)
-def _ident(x: str) -> str:
-    return x.strip()
 
 
 def _int(x: str) -> int:
@@ -172,64 +164,53 @@ def _str_list(x: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in x.split(",") if p.strip())
 
 
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "experiment": {
-        "scenario": (_ident, "scenario"),
-        "seed": (_int, "seed"),
-        "rounds": (_int, "rounds"),
-        "arms": (_str_list, "arms"),
-        "n_bootstrap": (_int, "n_bootstrap"),
-        "out_dir": (_ident, "out_dir"),
-    },
-    "data": {
-        "n_patients_per_node": (_int, "n_patients_per_node"),
-        "latent_dim": (_int, "latent_dim"),
-        "feature_dim": (_int, "feature_dim"),
-        "n_labels": (_int, "n_labels"),
-        "shift_magnitude": (_float, "shift_magnitude"),
-        "noise_std": (_float, "noise_std"),
-        "uncertain_rate": (_float, "uncertain_rate"),
-        "images_per_patient": (_int_pair, "images_per_patient"),
-    },
-    "model": {
-        "hidden_dims": (_int_list, "hidden_dims"),
-        "bn_momentum": (_float, "bn_momentum"),
-        "bn_eps": (_float, "bn_eps"),
-    },
-    "training": {
-        "local_epochs": (_int, "local_epochs"),
-        "batch_size": (_int, "batch_size"),
-        "lr": (_float, "lr"),
-        "node_lrs": (_float_list, "node_lrs"),
-        "warmup_epochs": (_int, "warmup_epochs"),
-        "warmup_lr": (_float, "warmup_lr"),
-        "pretrain_epochs": (_int, "pretrain_epochs"),
-        "pretrain_lr": (_float, "pretrain_lr"),
-        "weighting": (_ident, "weighting"),
-    },
+# field annotation -> parser of its INI text
+_PARSERS = {
+    "str": str.strip,
+    "int": _int,
+    "float": _float,
+    "tuple[str, ...]": _str_list,
+    "tuple[int, int]": _int_pair,
+    "tuple[int, ...]": _int_list,
+    "tuple[float, ...] | None": _float_list,
+}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+# section -> its keys, each the name of an ExperimentConfig field
+_SECTIONS = {
+    "experiment": ("scenario", "seed", "rounds", "arms", "n_bootstrap", "out_dir"),
+    "data": ("n_patients_per_node", "latent_dim", "feature_dim", "n_labels",
+             "shift_magnitude", "noise_std", "uncertain_rate", "images_per_patient"),
+    "model": ("hidden_dims", "bn_momentum", "bn_eps"),
+    "training": ("local_epochs", "batch_size", "lr", "node_lrs", "warmup_epochs",
+                 "warmup_lr", "pretrain_epochs", "pretrain_lr", "weighting"),
 }
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse INI text into an ExperimentConfig, refusing unknown names."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse INI text into an ExperimentConfig, refusing unknown names.
+
+    Values are literal text: ``%`` is not interpolated.
+    """
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=("#", ";"), interpolation=None
+    )
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     overrides = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(
                 f"unknown section [{section}]; expected one of "
-                f"{sorted(_SCHEMA)}"
+                f"{sorted(_SECTIONS)}"
             )
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
-            convert, field_name = _SCHEMA[section][key]
             try:
-                overrides[field_name] = convert(raw)
+                overrides[key] = _PARSERS[_FIELD_TYPES[key]](raw)
             except ConfigError as exc:
                 raise ConfigError(f"[{section}] {key}: {exc}") from None
     return ExperimentConfig(**overrides)
@@ -241,6 +222,8 @@ def load_config(path) -> ExperimentConfig:
             return parse_config(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from None
 
 
 def config_digest(text: str) -> str:
@@ -250,11 +233,11 @@ def config_digest(text: str) -> str:
 
 def render_config(cfg: ExperimentConfig) -> str:
     """Write the full config back out as INI (inverse of parse_config)."""
-    parser = configparser.ConfigParser()
-    for section, keys in _SCHEMA.items():
+    parser = configparser.ConfigParser(interpolation=None)
+    for section, keys in _SECTIONS.items():
         parser.add_section(section)
-        for key, (_, field_name) in keys.items():
-            value = getattr(cfg, field_name)
+        for key in keys:
+            value = getattr(cfg, key)
             if value is None:
                 continue
             if isinstance(value, tuple):

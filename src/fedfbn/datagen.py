@@ -47,8 +47,8 @@ def gaussian_quantile(q: float) -> float:
 class DomainSpec:
     """Feature-space view of the shared latent population.
 
-    ``shift`` and ``scale`` realize per-domain covariate shift:
-    features = scale * (M z + shift) + noise, with M keyed by ``mix_seed``.
+    ``shift`` realizes per-domain covariate shift:
+    features = M z + shift + noise, with M keyed by ``mix_seed``.
     Domains meant to be affinely related must share ``mix_seed``.
     """
 
@@ -56,7 +56,6 @@ class DomainSpec:
     feature_dim: int = 32
     mix_seed: int = 0
     shift: tuple[float, ...] | None = None
-    scale: tuple[float, ...] | None = None
     noise_std: float = 0.0
     images_per_patient: tuple[int, int] = (1, 3)
 
@@ -68,22 +67,13 @@ class DomainSpec:
         lo, hi = self.images_per_patient
         if not (1 <= lo <= hi):
             raise ConfigError(f"invalid images_per_patient range: {lo}..{hi}")
-        for name in ("shift", "scale"):
-            vec = getattr(self, name)
-            if vec is not None and len(vec) != self.feature_dim:
-                raise ConfigError(f"{name} length must equal feature_dim")
-        if self.scale is not None and any(s <= 0 for s in self.scale):
-            raise ConfigError("scale entries must be positive")
+        if self.shift is not None and len(self.shift) != self.feature_dim:
+            raise ConfigError("shift length must equal feature_dim")
 
     def shift_vector(self) -> Tensor:
         if self.shift is None:
             return np.zeros(self.feature_dim)
         return np.asarray(self.shift, dtype=np.float64)
-
-    def scale_vector(self) -> Tensor:
-        if self.scale is None:
-            return np.ones(self.feature_dim)
-        return np.asarray(self.scale, dtype=np.float64)
 
     def mix_matrix(self) -> Tensor:
         """Latent-to-feature map, a pure function of (mix_seed, dims)."""
@@ -243,7 +233,7 @@ def generate(
     """Draw a dataset: latent per patient, affine features per image.
 
     Labels are thresholded latent projections, so they are independent of
-    the domain's shift/scale/noise. With probability ``uncertain_rate``
+    the domain's shift and noise. With probability ``uncertain_rate``
     each positive label is recoded to -1 (uncertain) for all of the
     patient's images. All masks start at 1.
     """
@@ -266,7 +256,7 @@ def generate(
     patient_row = np.repeat(np.arange(n_patients), counts)
 
     base = z @ domain.mix_matrix().T
-    features = domain.scale_vector() * (base[patient_row] + domain.shift_vector())
+    features = base[patient_row] + domain.shift_vector()
     if domain.noise_std > 0.0:
         features = features + domain.noise_std * noise_stream.standard_normal(
             features.shape
@@ -408,8 +398,8 @@ def shifted_domain(
 ) -> DomainSpec:
     """Derive a covariate-shifted sibling of ``base`` (same mix matrix).
 
-    Per-feature offsets are drawn N(0, shift_magnitude^2); scale and noise
-    are inherited.
+    Per-feature offsets are drawn N(0, shift_magnitude^2); noise is
+    inherited.
     """
     offsets = shift_magnitude * rng.standard_normal(base.feature_dim)
     return replace(base, shift=tuple(float(v) for v in offsets))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -76,7 +77,6 @@ class ScenarioData:
     pooled_val: Dataset
     test_sets: dict[str, Dataset]
     views: dict[str, tuple[str, ...]]
-    eval_pairs: list[tuple[str, str]]
     pretrain: Dataset
     source_labels: tuple[str, ...]
 
@@ -210,11 +210,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     pooled_train = concat_naive(node_train[0], node_train[1])
     pooled_val = concat_naive(node_val[0], node_val[1])
 
-    eval_pairs = [
-        (test_name, view_name)
-        for test_name in test_sets
-        for view_name in views
-    ]
     return ScenarioData(
         all_labels=names,
         node_labels=node_labels,
@@ -224,7 +219,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
         pooled_val=pooled_val,
         test_sets=test_sets,
         views=views,
-        eval_pairs=eval_pairs,
         pretrain=pretrain,
         source_labels=source_model.label_names,
     )
@@ -326,7 +320,7 @@ def _execute_arm(
         best_round=fed.best_round,
         global_model=fed.best,
     )
-    for test_name, view_name in data.eval_pairs:
+    for test_name, view_name in itertools.product(data.test_sets, data.views):
         ds = data.test_sets[test_name]
         labels = data.views[view_name]
         for variant, node_id in _bn_variants(fed.best, test_name):
@@ -716,9 +710,15 @@ def rerender_reports(in_dir) -> list[str]:
 
 
 def write_datasets(cfg: ExperimentConfig, out_dir) -> list[str]:
-    """Materialize the scenario's datasets as tabular files (gen-data)."""
+    """Materialize the scenario's datasets as tabular files (gen-data).
+
+    ``datasets.json`` indexes a complete set: an old one is removed before
+    any CSV is written, and the new one is written last.
+    """
     data = build_scenario(cfg)
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "datasets.json"))
     files = []
     index = {}
     for name, ds in data.parts().items():

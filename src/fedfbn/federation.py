@@ -39,7 +39,6 @@ from .errors import (
 from .metrics import EvalReport, bootstrap_ci
 from .network import (
     BnPolicy,
-    HEAD_PREFIX,
     HEADS,
     Model,
     ModelSpec,
@@ -239,14 +238,12 @@ def merge_heads(
     """
     owners: dict[str, list[ParameterBundle]] = {}
     for b in bundles:
-        for label in b.head_labels:
-            owners.setdefault(label, []).append(b)
-    merged = {
-        key: _owner_mean(key, own, weights)
-        for label, own in owners.items()
-        for key in (f"{HEAD_PREFIX}{label}/weight", f"{HEAD_PREFIX}{label}/bias")
-    }
-    return merged, tuple(owners)
+        for key in b.entries:
+            if key_kind(key) == "head":
+                owners.setdefault(key, []).append(b)
+    merged = {key: _owner_mean(key, own, weights) for key, own in owners.items()}
+    union = dict.fromkeys(label for b in bundles for label in b.head_labels)
+    return merged, tuple(union)
 
 
 def aggregate(

@@ -144,21 +144,21 @@ def _check_input(model: Model, x: Tensor) -> Tensor:
     return x
 
 
-def _forward(model: Model, x: Tensor, train: bool, policy: BnPolicy):
-    """Run the network, returning logits plus per-layer caches.
+def _forward(model: Model, x: Tensor, use_batch: bool):
+    """Run the network: logits, the trunk output, and one record per hidden
+    layer, ``(h_in, pre, mean, xn, inv_std, active)``, for ``backward``.
 
-    Only Train+NORMAL touches running statistics.
+    ``use_batch`` (training under NORMAL) normalizes with batch statistics
+    and updates the running estimates; otherwise the running statistics are
+    used and nothing is mutated.
     """
     x = _check_input(model, x)
     spec = model.spec
     p = model.params
     h = x
-    caches: dict[str, dict] = {}
+    layers = []
     for i in range(len(spec.hidden_dims)):
         pre = h @ p[f"dense{i}/weight"] + p[f"dense{i}/bias"]
-        caches[f"dense{i}"] = {"in": h}
-
-        use_batch = train and policy is BnPolicy.NORMAL
         if use_batch:
             if pre.shape[0] < 2:
                 raise DataError(
@@ -174,29 +174,20 @@ def _forward(model: Model, x: Tensor, train: bool, policy: BnPolicy):
         inv_std = 1.0 / np.sqrt(var + spec.bn_eps)
         xn = (pre - mean) * inv_std
         out = p[f"bn{i}/gamma"] * xn + p[f"bn{i}/beta"]
-        caches[f"bn{i}"] = {
-            "pre": pre,
-            "xn": xn,
-            "inv_std": inv_std,
-            "mean": mean,
-            "batch": use_batch,
-        }
-
+        layers.append((h, pre, mean, xn, inv_std, out > 0.0))
         h = np.maximum(out, 0.0)
-        caches[f"relu{i}"] = {"active": out > 0.0}
 
     logits = np.empty((x.shape[0], len(spec.label_names)))
     for j, label in enumerate(spec.label_names):
         head = f"{HEAD_PREFIX}{label}"
         logits[:, j : j + 1] = h @ p[f"{head}/weight"] + p[f"{head}/bias"]
-    caches["trunk_out"] = h
     check_finite(logits, "logits")
-    return logits, caches
+    return logits, h, layers
 
 
 def predict(model: Model, x: Tensor) -> Tensor:
     """Per-label probabilities in evaluation mode (running stats, no mutation)."""
-    logits, _ = _forward(model, x, train=False, policy=BnPolicy.FROZEN)
+    logits, _, _ = _forward(model, x, use_batch=False)
     return sigmoid(logits)
 
 
@@ -237,7 +228,8 @@ def backward(
     """
     labels = np.asarray(labels, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
-    logits, caches = _forward(model, x, train=True, policy=policy)
+    use_batch = policy is BnPolicy.NORMAL
+    logits, trunk, layers = _forward(model, x, use_batch)
     if labels.shape != logits.shape or mask.shape != logits.shape:
         raise ShapeError("labels/mask shape must be (batch, n_labels)")
     probs = sigmoid(logits)
@@ -249,7 +241,6 @@ def backward(
 
     p = model.params
     grads: dict[str, Tensor] = {}
-    trunk = caches["trunk_out"]
     dh = np.zeros_like(trunk)
     for j, label in enumerate(model.spec.label_names):
         head = f"{HEAD_PREFIX}{label}"
@@ -258,19 +249,17 @@ def backward(
         grads[f"{head}/bias"] = dcol.sum(axis=0)
         dh = dh + dcol @ p[f"{head}/weight"].T
 
-    spec = model.spec
-    for i in reversed(range(len(spec.hidden_dims))):
-        dh = dh * caches[f"relu{i}"]["active"]
+    for i in reversed(range(len(layers))):
+        h_in, pre, mean, xn, inv_std, active = layers[i]
+        dh = dh * active
 
         gamma = p[f"bn{i}/gamma"]
-        c = caches[f"bn{i}"]
-        xn, inv_std = c["xn"], c["inv_std"]
-        if c["batch"]:
+        if use_batch:
             n = xn.shape[0]
             dgamma = (dh * xn).sum(axis=0)
             dbeta = dh.sum(axis=0)
             dxn = dh * gamma
-            centered = c["pre"] - c["mean"]
+            centered = pre - mean
             dvar = (dxn * centered).sum(axis=0) * (-0.5) * inv_std**3
             dmean = (
                 -(dxn.sum(axis=0)) * inv_std
@@ -282,7 +271,6 @@ def backward(
         else:
             dpre = dh * gamma * inv_std
 
-        h_in = caches[f"dense{i}"]["in"]
         grads[f"dense{i}/weight"] = h_in.T @ dpre
         grads[f"dense{i}/bias"] = dpre.sum(axis=0)
         dh = dpre @ p[f"dense{i}/weight"].T

@@ -4,7 +4,7 @@ Tensors throughout the package are C-contiguous float64 ``numpy`` arrays;
 the helpers here add the shape/finiteness validation the rest of the code
 relies on. Randomness flows exclusively through :class:`RngStream`, a thin
 wrapper over the counter-based Philox generator keyed by a 64-bit seed.
-Child streams are derived from a parent seed and a byte label, never by
+Child streams are derived from a parent seed and a string label, never by
 consuming parent state, so two call sites that derive the same label from
 the same parent always see identical draws regardless of ordering.
 """
@@ -44,13 +44,6 @@ def batch_stats(x: Tensor) -> tuple[Tensor, Tensor]:
     return mean, var
 
 
-def _derive_seed(parent_seed: int, label: bytes) -> int:
-    h = hashlib.sha256()
-    h.update(label)
-    h.update(int(parent_seed).to_bytes(8, "little"))
-    return int.from_bytes(h.digest()[:8], "little")
-
-
 class RngStream:
     """Deterministic random stream with label-based splitting.
 
@@ -64,14 +57,16 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
-    def child(self, label: str | bytes) -> "RngStream":
+    def child(self, label: str) -> "RngStream":
         """Derive an independent stream from this stream's seed and a label.
 
         Pure function of ``(self.seed, label)``: it does not consume or
         observe this stream's position.
         """
-        raw = label.encode("utf-8") if isinstance(label, str) else bytes(label)
-        return RngStream(_derive_seed(self.seed, raw))
+        h = hashlib.sha256()
+        h.update(label.encode("utf-8"))
+        h.update(self.seed.to_bytes(8, "little"))
+        return RngStream(int.from_bytes(h.digest()[:8], "little"))
 
     # Draw helpers; all return float64 (or int64 for index draws).
 

@@ -160,16 +160,26 @@ def test_report_reads_only_the_envelopes_the_manifest_lists(tiny_config, tmp_pat
     assert json.loads(lines[0][len("ERROR "):])["error"] == "ParseError"
 
 
-def test_bad_config_exits_nonzero_with_error_line(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "raw, fragment",
+    [
+        ("[experiment]\nscenario = nonsense\n".encode(), "scenario"),
+        # values are literal: a % is not interpolation syntax
+        ("[experiment]\nscenario = iid%complete\n".encode(), "scenario"),
+        ("[experiment]\nscenario = iid_compl\xe9te\n".encode("latin-1"), "UTF-8"),
+    ],
+    ids=["unknown_scenario", "percent_in_value", "not_utf8"],
+)
+def test_bad_config_exits_nonzero_with_error_line(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.ini"
-    bad.write_text("[experiment]\nscenario = nonsense\n", encoding="utf-8")
+    bad.write_bytes(raw)
     code = main(["run", "--config", str(bad)])
     assert code == 1
-    err = capsys.readouterr().err.strip().splitlines()[-1]
-    assert err.startswith("ERROR ")
-    payload = json.loads(err[len("ERROR "):])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    payload = json.loads(lines[0][len("ERROR "):])
     assert payload["error"] == "ConfigError"
-    assert "scenario" in payload["message"]
+    assert fragment in payload["message"]
 
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):

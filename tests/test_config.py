@@ -1,8 +1,12 @@
 """Config parsing, defaults, validation, digests, and round-trips."""
 
+from dataclasses import fields
+
 import pytest
 
 from fedfbn.config import (
+    _PARSERS,
+    _SECTIONS,
     ExperimentConfig,
     config_digest,
     load_config,
@@ -112,6 +116,10 @@ def test_validation_rules():
         ExperimentConfig(scenario="non_iid_complete", shift_magnitude=0.0)
     with pytest.raises(ConfigError, match="two rates"):
         ExperimentConfig(node_lrs=(1e-5,))
+    with pytest.raises(ConfigError, match="node_lrs entries must be positive"):
+        ExperimentConfig(node_lrs=(-1e-2, 5e-2))
+    with pytest.raises(ConfigError, match="batch_size must be >= 2"):
+        ExperimentConfig(batch_size=1)
     with pytest.raises(ConfigError, match="n_bootstrap"):
         ExperimentConfig(n_bootstrap=99)
     with pytest.raises(ConfigError, match="rounds"):
@@ -142,6 +150,7 @@ def test_render_parse_round_trip():
         node_lrs=(0.02, 0.1),
         hidden_dims=(8,),
         images_per_patient=(2, 4),
+        out_dir="runs%x%%y",
     )
     again = parse_config(render_config(cfg))
     assert again == cfg
@@ -155,3 +164,10 @@ def test_load_config_reads_files(tmp_path):
     assert load_config(path).seed == 55
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "absent.ini")
+
+
+def test_every_field_is_settable_from_exactly_one_section():
+    keys = [key for section in _SECTIONS.values() for key in section]
+    assert sorted(keys) == sorted(f.name for f in fields(ExperimentConfig))
+    # a field whose annotation has no parser could not be read back
+    assert {f.type for f in fields(ExperimentConfig)} <= set(_PARSERS)

@@ -50,8 +50,7 @@ def test_iid_complete_topology():
     assert data.node_labels == [data.all_labels, data.all_labels]
     assert set(data.views) == {"all"}
     assert data.views["all"] == data.all_labels
-    assert set(data.test_sets) == {"internal", "external"}
-    assert sorted(data.eval_pairs) == [("external", "all"), ("internal", "all")]
+    assert list(data.test_sets) == ["internal", "external"]
     # the pretraining task uses its own label vocabulary
     assert not set(data.source_labels) & set(data.all_labels)
     assert len(data.source_labels) == 6
@@ -399,3 +398,23 @@ def test_write_datasets_emits_indexed_tabular_files(tmp_path):
         index["datasets"]["node0_train"]["sha256"]
         == data.node_train[0].content_hash()
     )
+
+
+def test_interrupted_write_datasets_leaves_no_index(tmp_path, monkeypatch):
+    cfg = tiny_cfg()
+    write_datasets(cfg, tmp_path)
+    real = experiments.save_tabular
+    calls = []
+
+    def crash_at_second_csv(ds, fh):
+        calls.append(ds)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        real(ds, fh)
+
+    monkeypatch.setattr(experiments, "save_tabular", crash_at_second_csv)
+    with pytest.raises(OSError):
+        write_datasets(cfg, tmp_path)
+    # the old index went first, so it cannot describe a mix of old and new CSVs
+    assert len(calls) == 2
+    assert not (tmp_path / "datasets.json").exists()
