@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -68,6 +69,11 @@ class ExperimentConfig:
     weighting: str = "uniform"
 
     def __post_init__(self):
+        # a NaN passes every range check below, since its comparisons are False
+        floats = [(f.name, getattr(self, f.name)) for f in fields(self) if f.type == "float"]
+        for name, value in floats + [("node_lrs", v) for v in self.node_lrs or ()]:
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario '{self.scenario}'; choose one of {SCENARIOS}"

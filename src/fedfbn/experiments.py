@@ -51,6 +51,7 @@ from .federation import (
     Weighting,
     evaluate_global,
     run_federation,
+    score_global,
 )
 from .metrics import EvalReport, paired_ttest
 from .network import Model, ModelSpec, pretrain_backbone, warmup_heads, with_heads
@@ -272,7 +273,9 @@ def _execute_arm(
     node_models: list[Model],
     central_model: Model,
     master: RngStream,
+    on_round=None,
 ) -> ArmResult:
+    """Train one arm; its best global model is evaluated later, with the others."""
     lrs = node_learning_rates(cfg)
     # arm -> (strategy, rows of node id, train, val, start model, batch
     # stream label, learning rate)
@@ -313,26 +316,30 @@ def _execute_arm(
         rounds=cfg.rounds,
         local_epochs=cfg.local_epochs,
         weighting=Weighting(cfg.weighting),
+        on_round=on_round,
     )
-    result = ArmResult(
+    return ArmResult(
         arm=arm,
         round_reports=fed.reports,
         best_round=fed.best_round,
         global_model=fed.best,
     )
-    for test_name, view_name in itertools.product(data.test_sets, data.views):
-        ds = data.test_sets[test_name]
-        labels = data.views[view_name]
-        for variant, node_id in _bn_variants(fed.best, test_name):
-            result.reports[(test_name, view_name, variant)] = evaluate_global(
-                fed.best,
-                ds,
-                labels,
-                rng=master.child(f"eval:{test_name}:{view_name}"),
-                n_bootstrap=cfg.n_bootstrap,
-                node_id=node_id,
-            )
-    return result
+
+
+def _round_progress(arm: str, progress):
+    """A ``run_federation`` round hook that reports each round through ``progress``."""
+    best: RoundReport | None = None
+
+    def on_round(report: RoundReport) -> None:
+        nonlocal best
+        if report.is_best:
+            best = report
+        line = f"arm {arm} round {report.round_index}: mean val BCE {report.mean_val_loss:.6f}"
+        if best is not None:
+            line += f", best {best.mean_val_loss:.6f} (round {best.round_index})"
+        progress(line)
+
+    return on_round
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -341,7 +348,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     Arms share the pretrained trunk and warmed heads bit-for-bit (deep
     copies), and dataset/model hashes are checked afterwards so an arm
     mutating shared state is an error, not a silent skew. A failing arm is
-    recorded and the remaining arms still run.
+    recorded and the remaining arms still run. All arms train before any is
+    evaluated, so every arm on a (test set, view) shares one set of
+    bootstrap draws. ``progress`` gets a line per round and one per arm
+    once its status is final.
     """
     data = build_scenario(cfg)
     master = RngStream(cfg.seed)
@@ -391,16 +401,61 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     start_hashes = {name: model_hash(m) for name, m in warmed.items()}
 
     arms: dict[str, ArmResult] = {}
+
+    def fail(arm: str, exc: Exception) -> None:
+        arms[arm] = ArmResult(arm=arm, error=f"{type(exc).__name__}: {exc}")
+        if progress is not None:
+            progress(f"arm {arm}: {arms[arm].error}")
+
     for arm in cfg.arms:
+        on_round = None if progress is None else _round_progress(arm, progress)
         try:
             arms[arm] = _execute_arm(
-                arm, cfg, data, node_models, central_model, master
+                arm, cfg, data, node_models, central_model, master, on_round
             )
         except Exception as exc:
-            arms[arm] = ArmResult(arm=arm, error=f"{type(exc).__name__}: {exc}")
-        if progress is not None:
-            status = arms[arm].error or "ok"
-            progress(f"arm {arm}: {status}")
+            fail(arm, exc)
+    # Per (test set, view), score every trained arm and BN variant, then
+    # bootstrap them all on one set of eval:<test>:<view> draws. A scoring
+    # error fails only its arm; a bootstrap error depends only on the
+    # labels, mask and draws, so it fails every arm in the group.
+    for test_name, view_name in itertools.product(data.test_sets, data.views):
+        ds = data.test_sets[test_name]
+        labels = data.views[view_name]
+        keys: list[tuple[str, str]] = []
+        matrices = []
+        for arm, result in arms.items():
+            if result.error is not None:
+                continue
+            variants = _bn_variants(result.global_model, test_name)
+            try:
+                scored = [score_global(result.global_model, ds, labels, node_id)
+                          for _, node_id in variants]
+            except Exception as exc:
+                fail(arm, exc)
+                continue
+            keys.extend((arm, variant) for variant, _ in variants)
+            matrices.extend(scored)
+        if not keys:
+            continue
+        try:
+            reports = evaluate_global(
+                matrices,
+                ds,
+                labels,
+                rng=master.child(f"eval:{test_name}:{view_name}"),
+                n_bootstrap=cfg.n_bootstrap,
+            )
+        except Exception as exc:
+            for arm in dict.fromkeys(arm for arm, _ in keys):
+                fail(arm, exc)
+            continue
+        for (arm, variant), report in zip(keys, reports):
+            arms[arm].reports[(test_name, view_name, variant)] = report
+    if progress is not None:
+        for arm, result in arms.items():
+            if result.error is None:
+                progress(f"arm {arm}: ok")
 
     if data.content_hashes() != dataset_hashes:
         raise ProtocolError("an arm mutated the shared datasets")
@@ -713,12 +768,22 @@ def write_datasets(cfg: ExperimentConfig, out_dir) -> list[str]:
     """Materialize the scenario's datasets as tabular files (gen-data).
 
     ``datasets.json`` indexes a complete set: an old one is removed before
-    any CSV is written, and the new one is written last.
+    any CSV is written, and the new one is written last. CSVs the old index
+    listed that the new set lacks are deleted before the new index is
+    written; no other file is touched.
     """
     data = build_scenario(cfg)
     os.makedirs(out_dir, exist_ok=True)
+    index_path = os.path.join(out_dir, "datasets.json")
+    stale = set()
+    with contextlib.suppress(ParseError, OSError):
+        old = _read_json(index_path)
+        entries = old.get("datasets") if isinstance(old, dict) else None
+        if isinstance(entries, dict):
+            listed = (e.get("file") for e in entries.values() if isinstance(e, dict))
+            stale = {n for n in listed if _is_file_name(n) and n.endswith(".csv")}
     with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "datasets.json"))
+        os.remove(index_path)
     files = []
     index = {}
     for name, ds in data.parts().items():
@@ -734,14 +799,15 @@ def write_datasets(cfg: ExperimentConfig, out_dir) -> list[str]:
             "labels": list(ds.label_names),
             "sha256": ds.content_hash(),
         }
+    for name in sorted(stale - set(files)):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     doc = {
         "schema_version": 1,
         "scenario": cfg.scenario,
         "seed": cfg.seed,
         "datasets": index,
     }
-    _write_text(
-        os.path.join(out_dir, "datasets.json"), json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    )
+    _write_text(index_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     files.append("datasets.json")
     return sorted(files)

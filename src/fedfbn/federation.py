@@ -437,15 +437,8 @@ def run_federation(
     )
 
 
-def evaluate_global(
-    gm: GlobalModel,
-    ds,
-    labels,
-    rng: RngStream,
-    n_bootstrap: int = 1000,
-    node_id: int | None = None,
-) -> EvalReport:
-    """Bootstrap-evaluate a global model on a label view of ``ds``.
+def score_global(gm: GlobalModel, ds, labels, node_id: int | None = None) -> Tensor:
+    """A global model's ``(rows, len(labels))`` scores on a label view of ``ds``.
 
     ``node_id`` scores that node's model: its batch norm under FEDBN, and
     only the heads the node trained. A requested label with no usable head
@@ -453,19 +446,36 @@ def evaluate_global(
     0.5 when defined.
     """
     labels = tuple(labels)
-    proj = ds.project_labels(labels)
-    if ((proj.labels == -1.0) & (proj.mask == 1.0)).any():
-        raise DataError("evaluation labels must be recoded (u-zeros) first")
+    ds.label_indices(labels)  # a label ds lacks is a LabelError
     usable = gm.label_names if node_id is None else gm.node_labels[node_id]
     present = [l for l in labels if l in usable]
     if not present:
         raise LabelError("no requested label has a trained head")
     model = gm.materialize(present, node_id=node_id)
-    probs = predict(model, proj.features)
-    scores = np.full((proj.features.shape[0], len(labels)), 0.5)
+    probs = predict(model, ds.features)
+    scores = np.full((ds.features.shape[0], len(labels)), 0.5)
     col = {l: j for j, l in enumerate(labels)}
     for k, label in enumerate(present):
         scores[:, col[label]] = probs[:, k]
+    return scores
+
+
+def evaluate_global(
+    scores,
+    ds,
+    labels,
+    rng: RngStream,
+    n_bootstrap: int = 1000,
+) -> list[EvalReport]:
+    """Bootstrap-evaluate stacked :func:`score_global` matrices on one label view.
+
+    Every model is scored against the same resamples of ``ds``; one report
+    is returned per matrix, in order.
+    """
+    labels = tuple(labels)
+    proj = ds.project_labels(labels)
+    if ((proj.labels == -1.0) & (proj.mask == 1.0)).any():
+        raise DataError("evaluation labels must be recoded (u-zeros) first")
     return bootstrap_ci(
         scores, proj.labels, proj.mask, list(labels), rng, n_bootstrap
     )

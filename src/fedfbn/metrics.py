@@ -6,11 +6,15 @@ integer range, so the result is bit-identical to exhaustive pair
 enumeration, ties included.
 
 Bootstrap replicates resample test rows with replacement; replicate ``r``
-draws its indices from a stream derived by the label ``boot:r``, so two
-models evaluated with equal-seed streams share resample indices and their
-per-replicate means pair up for the t-test. A replicate's AUROC depends only
-on how often each row was drawn, so each label is sorted once per call and a
-replicate's Mann-Whitney count is integer arithmetic on its draw counts.
+draws its indices from a stream derived by the label ``boot:r``. One call
+scores every model evaluated on a test set and label view against the same
+draws, so their per-replicate means pair up for the t-test and each
+resample is drawn once, not once per model. A replicate's AUROC depends
+only on how often each row was drawn: per call, each label's observed
+negatives are sorted once per model, and ``searchsorted`` places every
+observed positive among them. A replicate's Mann-Whitney count is then
+integer arithmetic on its draw counts: a running count of drawn negatives
+in score order, read at each positive's two ``searchsorted`` bounds.
 """
 
 from __future__ import annotations
@@ -91,44 +95,6 @@ def undefined_labels(per_label: dict[str, float | None]) -> list[str]:
     return [name for name, v in per_label.items() if v is None]
 
 
-def _ranked_column(scores, labels, mask):
-    """One label's observed rows sorted by score, with tie-group starts.
-
-    Returns ``(order, starts, pos)``, or ``None`` when no row is observed:
-    rows under the mask in ascending score order, the offset in ``order``
-    where each run of equal scores begins, and which sorted rows are
-    positive (any other label value under the mask counts as negative, as
-    in :func:`auroc`).
-    """
-    rows = np.flatnonzero(mask == 1)
-    if rows.size == 0:
-        return None
-    order = rows[np.argsort(scores[rows], kind="stable")]
-    s = scores[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    return order, starts, labels[order] == 1
-
-
-def _count_auroc(counts, order, starts, pos):
-    """AUROC of one label in each resample given by a row of ``counts``.
-
-    ``counts[b, i]`` is how often row ``i`` was drawn. Per tie group,
-    ``p``/``q`` count drawn positives/negatives; a positive scores one for
-    each negative below its group and one half for each negative inside it,
-    so ``2U = sum(p * (2 * negatives_below + q))``, exact in integers.
-    Returns the AUROC per resample and whether both classes were drawn.
-    """
-    c = counts[:, order]
-    p = np.add.reduceat(c * pos, starts, axis=1)
-    q = np.add.reduceat(c, starts, axis=1) - p
-    neg_through = np.cumsum(q, axis=1)  # negatives below the group, plus q
-    two_u = (p * (2 * neg_through - q)).sum(axis=1)
-    pairs = p.sum(axis=1) * neg_through[:, -1]
-    defined = pairs > 0
-    # U = 2U / 2 is exact, so this is auroc's u / (n_pos * n_neg) bit for bit
-    return (two_u / 2.0) / np.maximum(pairs, 1), defined
-
-
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     rank = math.ceil(q * sorted_values.size)
     rank = min(max(rank, 1), sorted_values.size)
@@ -161,6 +127,28 @@ class EvalReport:
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def _negatives_below(scores, labels, mask):
+    """Where one label's observed positives fall among its observed negatives.
+
+    ``scores`` is ``(models, rows)``. Returns ``(prow, nord, lo, hi)``, or
+    ``None`` when the label has no observed positive or no observed
+    negative: the positive rows; per model, the negative rows in ascending
+    score order; and per model and positive, how many of those negatives
+    score below it (``lo``) and at most as high (``hi``). Any label value
+    other than 1 under the mask counts as negative, as in :func:`auroc`.
+    """
+    rows = np.flatnonzero(mask == 1)
+    pos = labels[rows] == 1
+    prow, nrow = rows[pos], rows[~pos]
+    if prow.size == 0 or nrow.size == 0:
+        return None
+    nord = nrow[np.argsort(scores[:, nrow], axis=1)]
+    neg = np.take_along_axis(scores, nord, axis=1)
+    lo = [np.searchsorted(n, s[prow], "left") for n, s in zip(neg, scores)]
+    hi = [np.searchsorted(n, s[prow], "right") for n, s in zip(neg, scores)]
+    return prow, nord, lo, hi
+
+
 def bootstrap_ci(
     scores,
     labels,
@@ -168,33 +156,39 @@ def bootstrap_ci(
     label_names,
     rng: RngStream,
     n_bootstrap: int = 1000,
-) -> EvalReport:
-    """Bootstrap the mean AUROC over ``n_bootstrap`` row resamples.
+) -> list[EvalReport]:
+    """Bootstrap the mean AUROC of each model over ``n_bootstrap`` row resamples.
 
-    The reported ``mean_auroc`` is the point estimate on the full test set;
-    the CI is the nearest-rank 2.5/97.5 percentile of replicate means. A
-    label that degenerates to a single class inside a replicate is dropped
-    from that replicate's mean. For finite scores the replicate means equal,
-    bit for bit, those of ranking every resample with :func:`auroc`.
+    ``scores`` stacks one ``(rows, labels)`` score matrix per model; every
+    model is scored on the same resamples, and one report is returned per
+    model. The reported ``mean_auroc`` is the point estimate on the full
+    test set; the CI is the nearest-rank 2.5/97.5 percentile of replicate
+    means. A label that degenerates to a single class inside a replicate is
+    dropped from that replicate's mean. For finite scores each model's
+    replicate means equal, bit for bit, those of ranking every resample of
+    its matrix alone with :func:`auroc`.
     """
     if n_bootstrap < 100:
         raise ConfigError(f"n_bootstrap must be >= 100, got {n_bootstrap}")
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     mask = np.asarray(mask)
-    if scores.shape != labels.shape or scores.shape != mask.shape:
-        raise MetricError("scores, labels, and mask must share a shape")
-    if scores.shape[1] != len(label_names):
+    if scores.ndim != 3 or not scores.shape[0] or scores.shape[1:] != labels.shape \
+            or labels.shape != mask.shape:
+        raise MetricError(
+            "scores must stack one or more (rows, labels) matrices shaped like labels and mask"
+        )
+    if labels.shape[1] != len(label_names):
         raise MetricError("label_names length must match score columns")
-    n = scores.shape[0]
+    n_models, n = scores.shape[:2]
 
-    point = per_label_auroc(scores, labels, mask, label_names)
-    point_mean = mean_auroc(point)
+    points = [per_label_auroc(s, labels, mask, label_names) for s in scores]
+    point_means = [mean_auroc(point) for point in points]
 
     columns = [
-        _ranked_column(scores[:, j], labels[:, j], mask[:, j]) for j in range(scores.shape[1])
+        _negatives_below(scores[:, :, j], labels[:, j], mask[:, j]) for j in range(labels.shape[1])
     ]
-    replicate_means: list[float] = []
+    replicate_means = np.empty((n_models, n_bootstrap))
     for first in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
         block = range(first, min(first + _BOOTSTRAP_BLOCK, n_bootstrap))
         # counts[b, i]: how often replicate first + b drew row i
@@ -202,31 +196,47 @@ def bootstrap_ci(
             [np.bincount(rng.child(f"boot:{r}").integers(0, n, size=n), minlength=n)
              for r in block]
         )
-        total = np.zeros(len(block))
+        total = np.zeros((n_models, len(block)))
         n_defined = np.zeros(len(block), dtype=np.int64)
         # label by label, so each replicate sums its AUROCs in label order
         for column in columns:
             if column is None:
                 continue
-            auc, defined = _count_auroc(counts, *column)
-            np.add(total, auc, out=total, where=defined)
+            prow, nord, lo, hi = column
+            drawn_pos = counts[:, prow]
+            n_neg = counts[:, nord[0]].sum(axis=1)  # each model's order holds every negative
+            pairs = drawn_pos.sum(axis=1) * n_neg
+            defined = pairs > 0
+            pairs = np.maximum(pairs, 1)
+            # below[b, k]: drawn negatives among the model's k lowest-scored
+            below = np.zeros((len(block), nord.shape[1] + 1), dtype=np.int64)
+            for m in range(n_models):
+                np.cumsum(counts[:, nord[m]], axis=1, out=below[:, 1:])
+                # a positive scores one per negative below it and one half per
+                # tied negative: 2U = sum(p * (lo + hi)), exact in integers
+                two_u = (drawn_pos * (below[:, lo[m]] + below[:, hi[m]])).sum(axis=1)
+                # U = 2U / 2 is exact, so this is auroc's u / (n_pos * n_neg) bit for bit
+                auc = (two_u / 2.0) / pairs
+                np.add(total[m], auc, out=total[m], where=defined)
             n_defined += defined
         if not n_defined.all():
             r = block[int(np.argmin(n_defined))]
             raise MetricError(f"bootstrap replicate {r}: no label has a defined AUROC")
-        replicate_means.extend((total / n_defined).tolist())
+        replicate_means[:, block.start:block.stop] = total / n_defined
 
-    ordered = np.sort(np.asarray(replicate_means))
-    ci = (_nearest_rank(ordered, 0.025), _nearest_rank(ordered, 0.975))
-    return EvalReport(
-        per_label_auroc=point,
-        mean_auroc=point_mean,
-        ci95=ci,
-        n_bootstrap=n_bootstrap,
-        per_replicate_means=replicate_means,
-        seed=rng.seed,
-        undefined=undefined_labels(point),
-    )
+    reports = []
+    for point, point_mean, means in zip(points, point_means, replicate_means):
+        ordered = np.sort(means)
+        reports.append(EvalReport(
+            per_label_auroc=point,
+            mean_auroc=point_mean,
+            ci95=(_nearest_rank(ordered, 0.025), _nearest_rank(ordered, 0.975)),
+            n_bootstrap=n_bootstrap,
+            per_replicate_means=means.tolist(),
+            seed=rng.seed,
+            undefined=undefined_labels(point),
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

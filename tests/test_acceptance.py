@@ -329,15 +329,15 @@ def test_c05_statistics_sanity():
     labels = (data_rng.random((120, 2)) < 0.4).astype(np.float64)
     mask = np.ones_like(labels)
     names = ["u", "v"]
-    rep1 = bootstrap_ci(scores, labels, mask, names, RngStream(9), 200)
-    rep2 = bootstrap_ci(scores, labels, mask, names, RngStream(9), 200)
+    (rep1,) = bootstrap_ci(scores[None], labels, mask, names, RngStream(9), 200)
+    (rep2,) = bootstrap_ci(scores[None], labels, mask, names, RngStream(9), 200)
     assert rep1.to_json() == rep2.to_json()
 
     # perfectly separated scores: every replicate's mean AUROC is 1.0
     sep_labels = (np.arange(60) < 24).astype(np.float64).reshape(-1, 1)
     sep_scores = sep_labels * 0.9 + 0.05
-    point = bootstrap_ci(sep_scores, sep_labels, np.ones_like(sep_labels),
-                         ["w"], RngStream(10), 200)
+    (point,) = bootstrap_ci(sep_scores[None], sep_labels, np.ones_like(sep_labels),
+                            ["w"], RngStream(10), 200)
     assert point.ci95 == (1.0, 1.0)
     _verdict(5, True, f"t-test identity/antisymmetry, high-precision match "
                       f"(worst {worst:.1e}), deterministic bootstrap, "

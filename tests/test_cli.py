@@ -104,6 +104,18 @@ def test_report_rerenders_in_place(tiny_config, tmp_path):
     assert (out / "summary.csv").read_bytes() == summary
 
 
+def test_run_prints_a_line_per_round_and_per_arm(tiny_config, tmp_path, capsys):
+    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # two arms of two rounds each; an arm's status once all arms are evaluated
+    assert [line.split(":")[0] for line in lines] == [
+        "arm fedfbn round 0", "arm fedfbn round 1", "arm fedavg round 0", "arm fedavg round 1",
+        "arm fedfbn", "arm fedavg", f"wrote {len(os.listdir(tmp_path / 'o'))} files to {tmp_path / 'o'}",
+    ]
+    assert lines[4:6] == ["arm fedfbn: ok", "arm fedavg: ok"]
+    assert all("mean val BCE" in line and "best" in line for line in lines[:4])
+
+
 def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, capsys):
     out = tmp_path / "run_out"
     assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
@@ -167,8 +179,9 @@ def test_report_reads_only_the_envelopes_the_manifest_lists(tiny_config, tmp_pat
         # values are literal: a % is not interpolation syntax
         ("[experiment]\nscenario = iid%complete\n".encode(), "scenario"),
         ("[experiment]\nscenario = iid_compl\xe9te\n".encode("latin-1"), "UTF-8"),
+        ("[data]\nnoise_std = nan\n".encode(), "noise_std must be finite"),
     ],
-    ids=["unknown_scenario", "percent_in_value", "not_utf8"],
+    ids=["unknown_scenario", "percent_in_value", "not_utf8", "nan_float"],
 )
 def test_bad_config_exits_nonzero_with_error_line(tmp_path, capsys, raw, fragment):
     bad = tmp_path / "bad.ini"

@@ -128,6 +128,11 @@ def test_validation_rules():
         ExperimentConfig(lr=0.0)
     with pytest.raises(ConfigError, match="uncertain_rate"):
         ExperimentConfig(uncertain_rate=1.0)
+    nan, inf = float("nan"), float("inf")
+    for field, value in (("lr", nan), ("noise_std", nan), ("bn_eps", nan),
+                         ("shift_magnitude", inf), ("node_lrs", (nan, 0.05))):
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            ExperimentConfig(**{field: value})
 
 
 def test_digest_tracks_text_not_meaning():

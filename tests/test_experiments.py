@@ -10,7 +10,7 @@ import pytest
 
 import fedfbn.experiments as experiments
 from fedfbn.config import ExperimentConfig
-from fedfbn.errors import ParseError, ProtocolError
+from fedfbn.errors import LabelError, ParseError, ProtocolError
 from fedfbn.experiments import (
     ArmResult,
     build_scenario,
@@ -325,12 +325,49 @@ def test_failing_arm_is_recorded_and_others_continue(tmp_path, monkeypatch):
     assert "rounds_fedfbn.csv" in files
 
 
+def test_scoring_failure_fails_only_its_arm(tmp_path, monkeypatch):
+    def scenario(arms):
+        return tiny_cfg(arms=arms, scenario="non_iid_partial", n_labels=14)
+
+    emit_reports(run_experiment(scenario(("fedfbn", "fedbn"))), tmp_path / "without", "")
+    real_execute, real_score = experiments._execute_arm, experiments.score_global
+    doomed, scored = [], []
+
+    def execute(arm, *args):
+        result = real_execute(arm, *args)
+        if arm == "fedavg":
+            doomed.append(result.global_model)
+        return result
+
+    def score(gm, *args, **kwargs):
+        if doomed and gm is doomed[0]:
+            scored.append(gm)
+            if len(scored) == 3:  # after it was scored on two (test set, view)s
+                raise LabelError("synthetic scoring failure")
+        return real_score(gm, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_execute_arm", execute)
+    monkeypatch.setattr(experiments, "score_global", score)
+    progress = []
+    result = run_experiment(scenario(("fedfbn", "fedavg", "fedbn")), progress.append)
+    assert result.arms["fedavg"].error == "LabelError: synthetic scoring failure"
+    assert result.arms["fedavg"].reports == {}
+    assert [line for line in progress if " round " not in line] == [
+        "arm fedavg: LabelError: synthetic scoring failure", "arm fedfbn: ok", "arm fedbn: ok",
+    ]
+    files = emit_reports(result, tmp_path / "with", "")
+    reports = sorted(name for name in files if name.startswith("report_"))
+    assert reports == sorted(n for n in os.listdir(tmp_path / "without") if n.startswith("report_"))
+    for name in reports:
+        assert (tmp_path / "with" / name).read_bytes() == (tmp_path / "without" / name).read_bytes()
+
+
 def test_arm_mutating_shared_data_is_a_protocol_error(monkeypatch):
     real = experiments._execute_arm
 
-    def vandal(arm, cfg, data, node_models, central_model, master):
+    def vandal(arm, cfg, data, *rest):
         data.node_train[0].features[0, 0] += 1.0
-        return real(arm, cfg, data, node_models, central_model, master)
+        return real(arm, cfg, data, *rest)
 
     monkeypatch.setattr(experiments, "_execute_arm", vandal)
     with pytest.raises(ProtocolError, match="shared datasets"):
@@ -340,9 +377,9 @@ def test_arm_mutating_shared_data_is_a_protocol_error(monkeypatch):
 def test_arm_mutating_warmed_models_is_a_protocol_error(monkeypatch):
     real = experiments._execute_arm
 
-    def vandal(arm, cfg, data, node_models, central_model, master):
+    def vandal(arm, cfg, data, node_models, *rest):
         node_models[0].params["dense0/weight"][0, 0] += 1.0
-        return real(arm, cfg, data, node_models, central_model, master)
+        return real(arm, cfg, data, node_models, *rest)
 
     monkeypatch.setattr(experiments, "_execute_arm", vandal)
     with pytest.raises(ProtocolError, match="warmed models"):
@@ -398,6 +435,16 @@ def test_write_datasets_emits_indexed_tabular_files(tmp_path):
         index["datasets"]["node0_train"]["sha256"]
         == data.node_train[0].content_hash()
     )
+
+
+def test_write_datasets_removes_csvs_of_an_earlier_index(tmp_path):
+    write_datasets(tiny_cfg(scenario="non_iid_partial", n_labels=14), tmp_path)
+    (tmp_path / "notes.txt").write_text("not gen-data output")
+    files = write_datasets(tiny_cfg(scenario="iid_partial", n_labels=14), tmp_path)
+    index = json.loads((tmp_path / "datasets.json").read_text())
+    listed = {entry["file"] for entry in index["datasets"].values()}
+    assert sorted(files) == sorted(listed | {"datasets.json"})
+    assert sorted(os.listdir(tmp_path)) == sorted(listed | {"datasets.json", "notes.txt"})
 
 
 def test_interrupted_write_datasets_leaves_no_index(tmp_path, monkeypatch):

@@ -27,6 +27,7 @@ from fedfbn.federation import (
     extract_bundle,
     merge_heads,
     run_federation,
+    score_global,
 )
 from fedfbn.network import (
     BnPolicy,
@@ -423,7 +424,9 @@ def test_evaluate_global_memorized_task_and_purity():
                  rng=RngStream(6), lr=0.3)
     fed = run_federation([node], Strategy.FEDAVG, rounds=40)
     before = {k: v.copy() for k, v in fed.best.params.items()}
-    report = evaluate_global(fed.best, ds, labels, RngStream(7), n_bootstrap=100)
+    (report,) = evaluate_global(
+        [score_global(fed.best, ds, labels)], ds, labels, RngStream(7), n_bootstrap=100
+    )
     assert report.mean_auroc >= 0.99
     for key, value in fed.best.params.items():
         assert np.array_equal(value, before[key])
@@ -444,12 +447,16 @@ def test_evaluate_global_label_handling():
     )
     # "nope" exists in the data but the model has no head for it
     with pytest.raises(LabelError):
-        evaluate_global(gm, ds, ("nope",), RngStream(8), n_bootstrap=100)
-    padded = evaluate_global(gm, ds, ("a", "nope"), RngStream(8), n_bootstrap=100)
+        score_global(gm, ds, ("nope",))
+    (padded,) = evaluate_global(
+        [score_global(gm, ds, ("a", "nope"))], ds, ("a", "nope"), RngStream(8), n_bootstrap=100
+    )
     assert padded.per_label_auroc["nope"] == 0.5
     # node 1 trained b and c, so its model has no usable head for a
-    node1 = evaluate_global(gm, ds, ("a", "b"), RngStream(8), n_bootstrap=100, node_id=1)
-    full = evaluate_global(gm, ds, ("a", "b"), RngStream(8), n_bootstrap=100)
+    node1, full = evaluate_global(
+        [score_global(gm, ds, ("a", "b"), node_id=1), score_global(gm, ds, ("a", "b"))],
+        ds, ("a", "b"), RngStream(8), n_bootstrap=100,
+    )
     assert node1.per_label_auroc["a"] == 0.5
     assert full.per_label_auroc["a"] != 0.5
     assert node1.per_label_auroc["b"] == full.per_label_auroc["b"]

@@ -125,11 +125,12 @@ def envelopes():
     labels = (rng.random((40, 3)) < 0.4).astype(np.float64)
     mask = np.ones_like(labels)
     names = ["a", "b", "c"]
+    arms = ("fedfbn", "fedavg")
+    scores = [rng.child(arm).random((40, 3)) for arm in arms]
+    reports = bootstrap_ci(scores, labels, mask, names, RngStream(9), 100)
     return [
-        _envelope(arm, "", "internal", "all", names,
-                  bootstrap_ci(rng.child(arm).random((40, 3)), labels, mask, names,
-                               RngStream(9), 100))
-        for arm in ("fedfbn", "fedavg")
+        _envelope(arm, "", "internal", "all", names, report)
+        for arm, report in zip(arms, reports)
     ]
 
 

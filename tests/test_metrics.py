@@ -100,6 +100,12 @@ def test_per_label_auroc_respects_mask():
     assert out["b"] == pair_count_auroc([0.2, 0.8, 0.5], [0, 1, 1])
 
 
+def bootstrap_one(scores, *args):
+    """``bootstrap_ci`` on one model's ``(rows, labels)`` score matrix."""
+    (report,) = bootstrap_ci(np.asarray(scores)[None], *args)
+    return report
+
+
 def _toy_eval(n, seed, flip=0.1):
     rng = RngStream(seed)
     labels = (rng.random((n, 3)) < 0.3).astype(np.float64)
@@ -112,16 +118,16 @@ def _toy_eval(n, seed, flip=0.1):
 
 def test_bootstrap_deterministic_replay():
     scores, labels, mask = _toy_eval(120, 1)
-    a = bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(9), 200)
-    b = bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(9), 200)
+    a = bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(9), 200)
+    b = bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(9), 200)
     assert a.ci95 == b.ci95
     assert a.per_replicate_means == b.per_replicate_means
 
 
 def test_bootstrap_point_estimate_ignores_replicate_count():
     scores, labels, mask = _toy_eval(100, 2)
-    a = bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(3), 100)
-    b = bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(3), 300)
+    a = bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(3), 100)
+    b = bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(3), 300)
     assert a.mean_auroc == b.mean_auroc
     assert len(a.per_replicate_means) == 100
     assert len(b.per_replicate_means) == 300
@@ -131,14 +137,14 @@ def test_bootstrap_perfect_separation_degenerates():
     labels = np.array([[1.0], [1.0], [0.0], [0.0]] * 10)
     scores = labels * 0.8 + 0.1
     mask = np.ones_like(labels)
-    rep = bootstrap_ci(scores, labels, mask, ["only"], RngStream(4), 150)
+    rep = bootstrap_one(scores, labels, mask, ["only"], RngStream(4), 150)
     assert rep.ci95 == (1.0, 1.0)
     assert rep.mean_auroc == 1.0
 
 
 def test_bootstrap_ci_bounds_inside_replicate_range():
     scores, labels, mask = _toy_eval(60, 5, flip=0.3)
-    rep = bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(6), 250)
+    rep = bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(6), 250)
     lo, hi = rep.ci95
     assert min(rep.per_replicate_means) <= lo <= hi <= max(rep.per_replicate_means)
 
@@ -147,15 +153,15 @@ def test_bootstrap_shares_indices_across_models():
     # two models evaluated with equal-seed streams resample identically,
     # so constant-score models produce bitwise-equal replicate means
     scores, labels, mask = _toy_eval(80, 7)
-    a = bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(12), 120)
-    b = bootstrap_ci(scores + 0.0, labels, mask, ["x", "y", "z"], RngStream(12), 120)
+    a = bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(12), 120)
+    b = bootstrap_one(scores + 0.0, labels, mask, ["x", "y", "z"], RngStream(12), 120)
     assert a.per_replicate_means == b.per_replicate_means
 
 
 def test_bootstrap_minimum_replicates():
     scores, labels, mask = _toy_eval(40, 8)
     with pytest.raises(ConfigError):
-        bootstrap_ci(scores, labels, mask, ["x", "y", "z"], RngStream(1), 99)
+        bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(1), 99)
 
 
 def test_bootstrap_rare_label_dropped_from_some_replicates():
@@ -167,7 +173,7 @@ def test_bootstrap_rare_label_dropped_from_some_replicates():
     labels[1, 0] = 0.0
     labels[3, 1] = 1.0  # single positive: many replicates miss it
     scores = rng.random((n, 2))
-    rep = bootstrap_ci(scores, labels, np.ones((n, 2)), ["c", "r"], RngStream(14), 150)
+    rep = bootstrap_one(scores, labels, np.ones((n, 2)), ["c", "r"], RngStream(14), 150)
     assert math.isfinite(rep.mean_auroc)
     assert len(rep.per_replicate_means) == 150
 
@@ -176,7 +182,7 @@ def test_bootstrap_all_labels_undefined_raises():
     labels = np.zeros((20, 1))
     scores = np.linspace(0.0, 1.0, 20).reshape(-1, 1)
     with pytest.raises(MetricError):
-        bootstrap_ci(scores, labels, np.ones((20, 1)), ["dead"], RngStream(2), 100)
+        bootstrap_one(scores, labels, np.ones((20, 1)), ["dead"], RngStream(2), 100)
 
 
 def test_bootstrap_width_shrinks_with_test_size():
@@ -184,7 +190,7 @@ def test_bootstrap_width_shrinks_with_test_size():
     for seed in range(20):
         for n in (200, 2000):
             scores, labels, mask = _toy_eval(n, 1000 + seed, flip=0.25)
-            rep = bootstrap_ci(
+            rep = bootstrap_one(
                 scores, labels, mask, ["x", "y", "z"], RngStream(seed), 100
             )
             widths[n].append(rep.ci95[1] - rep.ci95[0])
@@ -219,28 +225,41 @@ def reference_bootstrap_ci(scores, labels, mask, label_names, rng, n_bootstrap):
     )
 
 
+def score_matrices(draw, n, n_labels, n_models):
+    """Score matrices whose columns are constant, coarse (tie-heavy) or fine."""
+    matrices = []
+    for _ in range(n_models):
+        columns = []
+        for _ in range(n_labels):
+            kind = draw(st.sampled_from(["constant", "coarse", "fine"]))
+            if kind == "constant":
+                values = st.just(0.5)
+            elif kind == "coarse":
+                values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+            else:
+                values = st.floats(-1e3, 1e3, allow_nan=False)
+            columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+        matrices.append(np.array(columns).T)
+    return np.stack(matrices)
+
+
 @st.composite
-def eval_cases(draw):
-    """Small test sets full of ties, masked rows and non-binary labels."""
+def eval_cases(draw, max_models=1):
+    """Small test sets full of ties, masked rows and non-binary labels.
+
+    With ``max_models`` above 1 the scores stack 1 to ``max_models``
+    matrices of the same test set; otherwise they are one matrix.
+    """
     n = draw(st.integers(1, 24))
     n_labels = draw(st.integers(1, 4))
-    columns = []
-    for _ in range(n_labels):
-        kind = draw(st.sampled_from(["constant", "coarse", "fine"]))
-        if kind == "constant":
-            values = st.just(0.5)
-        elif kind == "coarse":
-            values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
-        else:
-            values = st.floats(-1e3, 1e3, allow_nan=False)
-        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    scores = score_matrices(draw, n, n_labels, draw(st.integers(1, max_models)))
 
     def grid(values):
         cells = draw(st.lists(values, min_size=n * n_labels, max_size=n * n_labels))
         return np.array(cells).reshape(n, n_labels)
 
     return (
-        np.array(columns).T,
+        scores if max_models > 1 else scores[0],
         grid(st.sampled_from([-1.0, 0.0, 0.0, 1.0, 1.0])),
         grid(st.sampled_from([0.0, 1.0, 1.0, 1.0])),
         draw(st.integers(100, 170)),  # mostly not a multiple of the block size
@@ -249,7 +268,7 @@ def eval_cases(draw):
 
 
 def _outcome(fn, scores, labels, mask, n_bootstrap, seed):
-    names = [f"l{j}" for j in range(scores.shape[1])]
+    names = [f"l{j}" for j in range(labels.shape[1])]
     try:
         return fn(scores, labels, mask, names, RngStream(seed), n_bootstrap)
     except MetricError as exc:
@@ -262,7 +281,7 @@ def _outcome(fn, scores, labels, mask, n_bootstrap, seed):
 # label defined
 @example(case=(np.array([[0.1], [0.9]]), np.array([[0.0], [1.0]]), np.ones((2, 1)), 100, 0))
 def test_bootstrap_matches_per_replicate_ranking(case):
-    got = _outcome(bootstrap_ci, *case)
+    got = _outcome(bootstrap_one, *case)
     want = _outcome(reference_bootstrap_ci, *case)
     if isinstance(want, str):
         assert got == want
@@ -270,6 +289,23 @@ def test_bootstrap_matches_per_replicate_ranking(case):
     assert got.per_replicate_means == want.per_replicate_means
     assert got.ci95 == want.ci95
     assert got.to_json() == want.to_json()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=eval_cases(max_models=4))
+# both classes in two rows under two models: some replicate draws one row
+# twice and leaves no label defined
+@example(case=(np.array([[[0.1], [0.9]], [[0.7], [0.7]]]), np.array([[0.0], [1.0]]),
+               np.ones((2, 1)), 100, 0))
+def test_stacked_bootstrap_matches_one_model_at_a_time(case):
+    scores, *rest = case
+    got = _outcome(bootstrap_ci, scores, *rest)
+    if isinstance(got, str):
+        assert all(_outcome(bootstrap_one, s, *rest) == got for s in scores)
+        return
+    assert len(got) == len(scores)
+    for report, matrix in zip(got, scores):
+        assert report.to_json() == _outcome(bootstrap_one, matrix, *rest).to_json()
 
 
 def test_paired_ttest_identical_samples():
