@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fedfbn.experiments as experiments
-from fedfbn.config import ExperimentConfig
+from fedfbn.config import ExperimentConfig, parse_config
 from fedfbn.errors import LabelError, ParseError, ProtocolError
 from fedfbn.experiments import (
     ArmResult,
@@ -145,6 +145,67 @@ def test_scenario_layout_is_pinned(scenario):
         "views": digest(list(data.views.items())),
         "test_sets": digest(list(data.test_sets)),
     } == SCENARIO_LAYOUT_DIGESTS[scenario]
+
+
+# The harness self-test workload (one round, six arms, 14 labels), with the
+# scenario left open
+TINY_RUN_INI = """[experiment]
+scenario = {scenario}
+seed = 42
+rounds = 1
+arms = fedfbn,fedavg,fedbn,local_node0,local_node1,centralized
+n_bootstrap = 100
+
+[data]
+n_patients_per_node = 200
+n_labels = 14
+shift_magnitude = 1.0
+
+[training]
+lr = 5e-2
+warmup_epochs = 1
+warmup_lr = 5e-2
+pretrain_epochs = 1
+"""
+
+# sha256 of the result files of that run; any change in the floating-point
+# path of training, aggregation, scoring or checkpointing changes one of them
+TINY_RUN_DIGESTS = {
+    "non_iid_partial": {
+        "global_centralized.ckpt": "c4d27031c8ffdef93d3186aeecaa080c8e224bdde8ed356f856e43e3d768d06e",
+        "global_fedavg.ckpt": "51614d3023fefb35407ec282439f45c405510be59d9761cd1df1fcd8f85d846d",
+        "global_fedbn.ckpt": "de3a9d6615bc90101600a692c735f6a79832e1784573c9454da5fb72a78f6b8b",
+        "global_fedfbn.ckpt": "cea76b668755c922833397f9595c393c1ae8df1abba46d798f38e836bcaa5434",
+        "global_local_node0.ckpt": "f62315560ae0557ae0c14da57dcd60b759f7edbb97b4391b71f27c3a3871633b",
+        "global_local_node1.ckpt": "9b929e5d4eff75f83b9a42bcf4d93a808ab36f4dd09f94d5aa25a6868032e5ba",
+        "manifest.json": "32a18b1398d044922c738e1361c5ed62975314ae6ec24aefef596c4de5aab80d",
+        "summary.csv": "07aca9bc7ca7298ed55f22eadddfcef35d1bb5446267b4820ff200ee460d3086",
+    },
+    "iid_complete": {
+        "global_centralized.ckpt": "ee8380cdccb03e44d8fa208195a51bb68067fd7455f220eccd30d00c7fd099a2",
+        "global_fedavg.ckpt": "cf50a73d5f899d829b69bb447c1a3083a84291ace53ada00cd4b075adeb01a51",
+        "global_fedbn.ckpt": "71d14683affa62d78b263abf6aa30e46d2b7c053504cc8b68ecc1c7547351e7e",
+        "global_fedfbn.ckpt": "4e67fbb48fca18af6caf3ddee5a14e807ad98696f1b0806b816581957d8a98cc",
+        "global_local_node0.ckpt": "0c128dddedf1bbe9b7360712f03661517173fe1395fbef853a77b212addac5a7",
+        "global_local_node1.ckpt": "1ba8dd60bed3e2a421c341e507dc53fc3c7e907e857f8fc9eec4bd082a32190c",
+        "manifest.json": "19eee17f9f5502a83747cc1fbdfdbabe11d513516bf89ef1828dd23267a1c6f1",
+        "summary.csv": "20c16af4dfc5461ea2e5714966fa82421a6c6c1140daa17564328078d36ed671",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(TINY_RUN_DIGESTS))
+def test_tiny_run_results_are_pinned(scenario, tmp_path):
+    text = TINY_RUN_INI.format(scenario=scenario)
+    files = emit_reports(run_experiment(parse_config(text)), tmp_path, text)
+    pinned = TINY_RUN_DIGESTS[scenario]
+    assert {f for f in files if f.startswith("global_")} == {
+        f for f in pinned if f.startswith("global_")
+    }
+    assert {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in pinned
+    } == pinned
 
 
 def test_patient_id_namespaces_do_not_collide():
