@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .federation import GlobalModel, Strategy
-from .network import HEAD_PREFIX, ModelSpec, key_kind, param_shapes
+from .network import HEAD_PREFIX, ModelSpec, key_kind, param_shapes, per_label_params
 from .numerics import Tensor
 
 MAGIC = b"FBNCKPT1"
@@ -61,21 +61,11 @@ def write_archive(path, kind: str, meta: dict, tensors: dict[str, Tensor]) -> No
     for key, value in tensors.items():
         arr = np.ascontiguousarray(value, dtype="<f8")
         entries.append(
-            {
-                "key": key,
-                "shape": list(arr.shape),
-                "offset": offset,
-                "count": int(arr.size),
-            }
+            {"key": key, "shape": list(arr.shape), "offset": offset, "count": int(arr.size)}
         )
         blobs.append(arr.tobytes())
         offset += arr.size
-    header = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "meta": meta,
-        "entries": entries,
-    }
+    header = {"format_version": FORMAT_VERSION, "kind": kind, "meta": meta, "entries": entries}
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -112,9 +102,7 @@ def read_archive(path) -> tuple[str, dict, dict[str, Tensor]]:
     if not isinstance(header, dict):
         raise ParseError(f"{path}: header is not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
-        raise ParseError(
-            f"{path}: unsupported format_version {header.get('format_version')}"
-        )
+        raise ParseError(f"{path}: unsupported format_version {header.get('format_version')}")
     kind, meta, entries = header.get("kind"), header.get("meta"), header.get("entries")
     if not (isinstance(kind, str) and isinstance(meta, dict) and isinstance(entries, list)):
         raise ParseError(f"{path}: header needs a string kind, object meta, list entries")
@@ -143,9 +131,7 @@ def read_archive(path) -> tuple[str, dict, dict[str, Tensor]]:
             raise ParseError(f"{path}: entry '{key}' runs past the payload")
         tensors[key] = payload[offset:end].astype(np.float64).reshape(shape)
     if payload.size != end:
-        raise ParseError(
-            f"{path}: payload holds {payload.size} floats, header expects {end}"
-        )
+        raise ParseError(f"{path}: payload holds {payload.size} floats, header expects {end}")
     return kind, meta, tensors
 
 
@@ -162,11 +148,12 @@ def spec_from_meta(meta: dict) -> ModelSpec:
         raise ParseError(f"invalid model spec metadata: {exc}") from None
 
 
-def _layout(spec: ModelSpec, bn_nodes) -> dict[str, tuple[int | None, str]]:
+def _layout(spec: ModelSpec, bn_nodes, view) -> dict[str, tuple[int | None, str]]:
     """Global-checkpoint key -> (node id or None for shared, parameter key).
 
     In file order: the shared trunk as ``rep/<key>``, FEDBN's per-node batch
-    norm as ``node_bn/<node id>/<key>``, then heads as ``head/<label>/<name>``.
+    norm as ``node_bn/<node id>/<key>``, then each head of the per-label
+    ``view`` (see ``per_label_params``) as ``head/<label>/<name>``.
     """
     kinds = {key: key_kind(key) for key in param_shapes(spec)}
     shared = {"dense"} if bn_nodes is not None else {"dense", "bn"}
@@ -176,16 +163,17 @@ def _layout(spec: ModelSpec, bn_nodes) -> dict[str, tuple[int | None, str]]:
             {f"node_bn/{node_id}/{k}": (node_id, k) for k, kind in kinds.items() if kind == "bn"}
         )
     head = len(HEAD_PREFIX)
-    layout.update({f"head/{k[head:]}": (None, k) for k, kind in kinds.items() if kind == "head"})
+    layout.update({f"head/{k[head:]}": (None, k) for k in view if k.startswith(HEAD_PREFIX)})
     return layout
 
 
 def save_global(gm: GlobalModel, path) -> None:
     """Checkpoint a global model (kind "global"), bit-exact round-trip."""
     bn_nodes = sorted(gm.per_node_bn) if gm.per_node_bn is not None else None
+    view = per_label_params(gm.params, gm.label_names)
     tensors = {
-        disk_key: (gm.params if node_id is None else gm.per_node_bn[node_id])[key]
-        for disk_key, (node_id, key) in _layout(gm.spec, bn_nodes).items()
+        disk_key: (view if node_id is None else gm.per_node_bn[node_id])[key]
+        for disk_key, (node_id, key) in _layout(gm.spec, bn_nodes, view).items()
     }
     meta = {
         "spec": asdict(gm.spec),
@@ -221,24 +209,36 @@ def load_global(path) -> GlobalModel:
     if bn_nodes != (sorted(map(int, node_labels)) if strategy is Strategy.FEDBN else None):
         raise ParseError(f"{path}: meta.bn_nodes does not fit strategy {strategy.value}")
 
+    # zero-stride stand-ins give every per-label shape without allocating it
     shapes = param_shapes(spec)
-    layout = _layout(spec, bn_nodes)
+    try:
+        expected = per_label_params(
+            {k: np.broadcast_to(0.0, s) for k, s in shapes.items()}, spec.label_names
+        )
+    except ValueError as exc:
+        raise ParseError(f"{path}: model spec shapes out of range: {exc}") from None
+    layout = _layout(spec, bn_nodes, expected)
     missing = [k for k in layout if k not in tensors]
     unexpected = sorted(k for k in tensors if k not in layout)
     if missing or unexpected:
-        raise ParseError(
-            f"{path}: missing tensors {missing}, unexpected tensors {unexpected}"
-        )
-    params: dict[str, Tensor] = {}
-    per_node_bn = None if bn_nodes is None else {i: {} for i in bn_nodes}
-    for disk_key, (node_id, key) in layout.items():
-        tensor = tensors[disk_key]
-        if tensor.shape != shapes[key]:
+        raise ParseError(f"{path}: missing tensors {missing}, unexpected tensors {unexpected}")
+    for disk_key, (_, key) in layout.items():
+        if tensors[disk_key].shape != expected[key].shape:
             raise ParseError(
-                f"{path}: tensor '{disk_key}' has shape {tensor.shape}, "
-                f"the spec needs {shapes[key]}"
+                f"{path}: tensor '{disk_key}' has shape {tensors[disk_key].shape}, "
+                f"the spec needs {expected[key].shape}"
             )
-        (params if node_id is None else per_node_bn[node_id])[key] = tensor
+
+    # every shape now fits a tensor of the file, so these allocations do too
+    per_node_bn = None if bn_nodes is None else {i: {} for i in bn_nodes}
+    kept = ("dense", "head") if bn_nodes is not None else ("dense", "bn", "head")
+    params = {k: np.empty(s) for k, s in shapes.items() if key_kind(k) in kept}
+    view = per_label_params(params, spec.label_names)
+    for disk_key, (node_id, key) in layout.items():
+        if node_id is None:
+            view[key][...] = tensors[disk_key]
+        else:
+            per_node_bn[node_id][key] = tensors[disk_key]
     return GlobalModel(
         spec=spec,
         params=params,

@@ -54,7 +54,8 @@ from .federation import (
     score_global,
 )
 from .metrics import EvalReport, paired_ttest
-from .network import Model, ModelSpec, pretrain_backbone, warmup_heads, with_heads
+from .network import (Model, ModelSpec, per_label_params, pretrain_backbone, warmup_heads,
+                      with_heads)
 from .numerics import RngStream
 
 REPORT_PREFIX = "report_"
@@ -148,9 +149,7 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
             patient_id_start=_PID_PRETRAIN,
         )
     )
-    external_domain = shifted_domain(
-        base, master.child("shift:external"), cfg.shift_magnitude
-    )
+    external_domain = shifted_domain(base, master.child("shift:external"), cfg.shift_magnitude)
     external = apply_u_zeros(
         generate(
             external_domain,
@@ -162,12 +161,8 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     )
 
     if cfg.scenario.startswith("iid"):
-        pool = apply_u_zeros(
-            generate(base, label_model, 2 * n, master.child("data:pool"))
-        )
-        train, val, test = split_by_patient(
-            pool, (0.7, 0.1, 0.2), master.child("split:pool")
-        )
+        pool = apply_u_zeros(generate(base, label_model, 2 * n, master.child("data:pool")))
+        train, val, test = split_by_patient(pool, (0.7, 0.1, 0.2), master.child("split:pool"))
         train0, train1 = make_iid_halves(train, master.child("halves:train"))
         val0, val1 = make_iid_halves(val, master.child("halves:val"))
         test_sets = {"internal": test, "external": external}
@@ -181,17 +176,9 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
                 patient_id_start=_PID_NODE1,
             )
         )
-        train0, val0, test0 = split_by_patient(
-            ds0, (0.7, 0.1, 0.2), master.child("split:node0")
-        )
-        train1, val1, test1 = split_by_patient(
-            ds1, (0.7, 0.1, 0.2), master.child("split:node1")
-        )
-        test_sets = {
-            "internal_node0": test0,
-            "internal_node1": test1,
-            "external": external,
-        }
+        train0, val0, test0 = split_by_patient(ds0, (0.7, 0.1, 0.2), master.child("split:node0"))
+        train1, val1, test1 = split_by_patient(ds1, (0.7, 0.1, 0.2), master.child("split:node1"))
+        test_sets = {"internal_node0": test0, "internal_node1": test1, "external": external}
 
     perm = master.child("label-topology").permutation(len(names))
     ordered = tuple(names[i] for i in perm)
@@ -200,14 +187,8 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     node_labels = [pick(node0_part), pick(node1_part)]
     views = {view: pick(part) for view, part in view_parts.items()}
 
-    node_train = [
-        train0.project_labels(node_labels[0]),
-        train1.project_labels(node_labels[1]),
-    ]
-    node_val = [
-        val0.project_labels(node_labels[0]),
-        val1.project_labels(node_labels[1]),
-    ]
+    node_train = [train0.project_labels(node_labels[0]), train1.project_labels(node_labels[1])]
+    node_val = [val0.project_labels(node_labels[0]), val1.project_labels(node_labels[1])]
     pooled_train = concat_naive(node_train[0], node_train[1])
     pooled_val = concat_naive(node_val[0], node_val[1])
 
@@ -226,8 +207,9 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
 
 
 def model_hash(model: Model) -> str:
+    """sha256 over the per-label keys, shapes and bytes of the parameters."""
     h = hashlib.sha256()
-    for key, tensor in model.params.items():
+    for key, tensor in per_label_params(model.params, model.spec.label_names).items():
         h.update(key.encode("utf-8"))
         h.update(str(tensor.shape).encode())
         h.update(tensor.tobytes())
@@ -410,9 +392,7 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     for arm in cfg.arms:
         on_round = None if progress is None else _round_progress(arm, progress)
         try:
-            arms[arm] = _execute_arm(
-                arm, cfg, data, node_models, central_model, master, on_round
-            )
+            arms[arm] = _execute_arm(arm, cfg, data, node_models, central_model, master, on_round)
         except Exception as exc:
             fail(arm, exc)
     # Per (test set, view), score every trained arm and BN variant, then
@@ -493,7 +473,7 @@ def _envelope(arm: str, variant: str, test_set: str, view: str,
         "test_set": test_set,
         "view": view,
         "view_labels": list(view_labels),
-        "report": json.loads(report.to_json()),
+        "report": report.to_dict(),
     }
 
 
@@ -511,10 +491,7 @@ def render_tables(envelopes: list[dict]) -> dict[str, str]:
     Used both when a run emits its reports and when `report` re-renders an
     output directory, so the two paths cannot drift apart.
     """
-    envelopes = sorted(
-        envelopes,
-        key=lambda e: (e["test_set"], e["view"], e["arm"], e["variant"]),
-    )
+    envelopes = sorted(envelopes, key=lambda e: (e["test_set"], e["view"], e["arm"], e["variant"]))
     baseline: dict[tuple[str, str], list[float]] = {}
     for env in envelopes:
         if env["arm"] == "fedfbn" and env["variant"] == "":
@@ -634,9 +611,7 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
         save_global(arm_result.global_model, os.path.join(out_dir, ckpt_name))
         files.append(ckpt_name)
         for (test_set, view, variant), report in arm_result.reports.items():
-            env = _envelope(
-                arm, variant, test_set, view, result.data.views[view], report
-            )
+            env = _envelope(arm, variant, test_set, view, result.data.views[view], report)
             _write(_envelope_name(env), json.dumps(env, sort_keys=True, indent=2) + "\n")
             envelopes.append(env)
 
@@ -652,9 +627,7 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
         "arm_errors": errors,
         "dataset_hashes": result.dataset_hashes,
         "start_model_hashes": result.start_model_hashes,
-        "best_rounds": {
-            arm: r.best_round for arm, r in result.arms.items() if r.error is None
-        },
+        "best_rounds": {arm: r.best_round for arm, r in result.arms.items() if r.error is None},
         "files": sorted(files),
     }
     _write("manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -674,10 +647,7 @@ def _list_of(ok):
 _ENVELOPE_FIELDS = {
     # the arm names an output file, so it must be a known one
     "arm": (f"one of {list(ARMS)}", lambda v: v in ARMS),
-    **{
-        key: ("a string", lambda v: isinstance(v, str))
-        for key in ("variant", "test_set", "view")
-    },
+    **{key: ("a string", lambda v: isinstance(v, str)) for key in ("variant", "test_set", "view")},
     "report": ("an object", lambda v: isinstance(v, dict)),
 }
 _REPORT_FIELDS = {
@@ -802,12 +772,7 @@ def write_datasets(cfg: ExperimentConfig, out_dir) -> list[str]:
     for name in sorted(stale - set(files)):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, name))
-    doc = {
-        "schema_version": 1,
-        "scenario": cfg.scenario,
-        "seed": cfg.seed,
-        "datasets": index,
-    }
+    doc = {"schema_version": 1, "scenario": cfg.scenario, "seed": cfg.seed, "datasets": index}
     _write_text(index_path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     files.append("datasets.json")
     return sorted(files)

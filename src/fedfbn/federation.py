@@ -15,6 +15,7 @@ server combines bundles into a global model:
 Heads are merged surgically: the global label set is the union, a head
 owned by one node is copied, and a head shared by several nodes is
 averaged over its owners (bit-identical owners short-circuit to a copy).
+This is done row by row on the packed head tensors, one row per label.
 All reductions accumulate in ascending node id so results are a pure
 function of the inputs, not of scheduling.
 """
@@ -39,6 +40,8 @@ from .errors import (
 from .metrics import EvalReport, bootstrap_ci
 from .network import (
     BnPolicy,
+    HEAD_BIAS,
+    HEAD_WEIGHT,
     HEADS,
     Model,
     ModelSpec,
@@ -99,9 +102,7 @@ def _weights(bundles: list[ParameterBundle], weighting: Weighting) -> dict[int, 
     total = 0
     for b in bundles:
         if b.sample_count < 1:
-            raise ConfigError(
-                f"by_samples weighting needs sample_count >= 1 (node {b.node_id})"
-            )
+            raise ConfigError(f"by_samples weighting needs sample_count >= 1 (node {b.node_id})")
         total += b.sample_count
     return {b.node_id: b.sample_count / total for b in bundles}
 
@@ -116,9 +117,7 @@ def _validate_bundles(bundles: list[ParameterBundle]) -> list[ParameterBundle]:
     rounds = {b.round_index for b in ordered}
     if len(rounds) != 1:
         raise ProtocolError(f"bundles span multiple rounds: {sorted(rounds)}")
-    trunk_keys = [
-        tuple(k for k in b.entries if key_kind(k) != "head") for b in ordered
-    ]
+    trunk_keys = [tuple(k for k in b.entries if key_kind(k) != "head") for b in ordered]
     if any(keys != trunk_keys[0] for keys in trunk_keys[1:]):
         raise ProtocolError("representation layer sets differ across bundles")
     return ordered
@@ -128,18 +127,21 @@ def _validate_bundles(bundles: list[ParameterBundle]) -> list[ParameterBundle]:
 # (sorted by node id); all accumulate in that fixed order.
 
 
+def _weighted_sum(tensors: list[Tensor], weights: list[float]) -> Tensor:
+    """Multiply-accumulate in list order."""
+    acc = weights[0] * tensors[0]
+    for w, tensor in zip(weights[1:], tensors[1:]):
+        if tensor.shape != tensors[0].shape:
+            raise ShapeError(
+                f"tensor shape mismatch across nodes: {tensor.shape} vs {tensors[0].shape}"
+            )
+        acc = acc + w * tensor
+    return acc
+
+
 def _mean(key: str, bundles: list[ParameterBundle], weights: dict[int, float]) -> Tensor:
     """Weighted mean, multiply-accumulate in ascending node id."""
-    first = bundles[0].entries[key]
-    acc = weights[bundles[0].node_id] * first
-    for b in bundles[1:]:
-        tensor = b.entries[key]
-        if tensor.shape != first.shape:
-            raise ShapeError(
-                f"tensor shape mismatch across nodes: {tensor.shape} vs {first.shape}"
-            )
-        acc = acc + weights[b.node_id] * tensor
-    return acc
+    return _weighted_sum([b.entries[key] for b in bundles], [weights[b.node_id] for b in bundles])
 
 
 def _frozen(key: str, bundles: list[ParameterBundle], weights: dict[int, float]) -> Tensor:
@@ -157,19 +159,18 @@ def _frozen(key: str, bundles: list[ParameterBundle], weights: dict[int, float])
     return reference.copy()
 
 
-def _owner_mean(
-    key: str, owners: list[ParameterBundle], weights: dict[int, float]
-) -> Tensor:
-    """Mean over the owners, weights renormalized to sum to one.
+def _owner_mean(rows: list[Tensor], weights: list[float]) -> Tensor:
+    """Mean of one label's head rows over its owners, weights renormalized to
+    sum to one.
 
     Bit-identical owners short-circuit to a copy, so agreeing nodes cannot
     drift through arithmetic.
     """
-    first = owners[0].entries[key]
-    if all(_tensors_equal(b.entries[key], first) for b in owners[1:]):
+    first = rows[0]
+    if all(_tensors_equal(row, first) for row in rows[1:]):
         return first.copy()
-    wsum = sum(weights[b.node_id] for b in owners)
-    return _mean(key, owners, {b.node_id: weights[b.node_id] / wsum for b in owners})
+    wsum = sum(weights)
+    return _weighted_sum(rows, [w / wsum for w in weights])
 
 
 # What the server does with each trunk tensor kind under each strategy;
@@ -185,7 +186,8 @@ RULES = {
 class GlobalModel:
     """Server-side model: one shared parameter map, plus FEDBN's per-node BN.
 
-    ``params`` holds every shared key (trunk, then heads in label order);
+    ``params`` holds every shared key (trunk, then the heads with rows in
+    label order);
     under FEDBN the batch-norm keys live in ``per_node_bn[node_id]``
     instead.
     """
@@ -216,34 +218,39 @@ class GlobalModel:
         source = self.params
         if self.per_node_bn is not None:
             if node_id is None:
-                raise ProtocolError(
-                    "this global model keeps per-node batch norm; pass node_id"
-                )
+                raise ProtocolError("this global model keeps per-node batch norm; pass node_id")
             if node_id not in self.per_node_bn:
                 raise ProtocolError(f"no batch-norm layers stored for node {node_id}")
             source = {**self.params, **self.per_node_bn[node_id]}
         spec = replace(self.spec, label_names=labels)
+        rows = [self.label_names.index(label) for label in labels]
         return Model(
-            spec=spec, params={key: source[key].copy() for key in param_shapes(spec)}
+            spec=spec,
+            params={
+                key: source[key][rows] if key_kind(key) == "head" else source[key].copy()
+                for key in param_shapes(spec)
+            },
         )
 
 
 def merge_heads(
     bundles: list[ParameterBundle], weights: dict[int, float]
 ) -> tuple[dict[str, Tensor], tuple[str, ...]]:
-    """Union the label sets and merge every head key over its owners.
+    """Union the label sets and merge each label's head rows over its owners.
 
-    Returns the merged head keys (in union label order) and the union,
-    labels in order of first appearance.
+    Returns the merged ``heads/weight`` and ``heads/bias`` (rows in union
+    order) and the union, labels in order of first appearance.
     """
-    owners: dict[str, list[ParameterBundle]] = {}
-    for b in bundles:
-        for key in b.entries:
-            if key_kind(key) == "head":
-                owners.setdefault(key, []).append(b)
-    merged = {key: _owner_mean(key, own, weights) for key, own in owners.items()}
-    union = dict.fromkeys(label for b in bundles for label in b.head_labels)
-    return merged, tuple(union)
+    union = tuple(dict.fromkeys(label for b in bundles for label in b.head_labels))
+    merged: dict[str, Tensor] = {}
+    for key in (HEAD_WEIGHT, HEAD_BIAS):
+        rows = []
+        for label in union:
+            owners = [b for b in bundles if label in b.head_labels]
+            rows.append(_owner_mean([b.entries[key][b.head_labels.index(label)] for b in owners],
+                                    [weights[b.node_id] for b in owners]))
+        merged[key] = np.array(rows).reshape(len(union), *bundles[0].entries[key].shape[1:])
+    return merged, union
 
 
 def aggregate(
@@ -379,9 +386,7 @@ def run_federation(
     base = replace(ordered[0].model.spec, label_names=())
     for node in ordered[1:]:
         if replace(node.model.spec, label_names=()) != base:
-            raise ProtocolError(
-                f"node {node.node_id} model spec differs from node {ids[0]}"
-            )
+            raise ProtocolError(f"node {node.node_id} model spec differs from node {ids[0]}")
     for node in ordered:
         _check_node_data(node)
 
@@ -395,9 +400,7 @@ def run_federation(
         train_losses: dict[int, float] = {}
         for node in ordered:
             try:
-                train_losses[node.node_id] = local_train_round(
-                    node, strategy, local_epochs
-                )
+                train_losses[node.node_id] = local_train_round(node, strategy, local_epochs)
             except Exception as exc:
                 raise NodeFailure(node.node_id, r, exc) from exc
 
@@ -432,9 +435,7 @@ def run_federation(
             on_round(report)
 
     assert best is not None and latest is not None
-    return FederationResult(
-        best=best, final=latest, best_round=best_round, reports=reports
-    )
+    return FederationResult(best=best, final=latest, best_round=best_round, reports=reports)
 
 
 def score_global(gm: GlobalModel, ds, labels, node_id: int | None = None) -> Tensor:
@@ -476,6 +477,4 @@ def evaluate_global(
     proj = ds.project_labels(labels)
     if ((proj.labels == -1.0) & (proj.mask == 1.0)).any():
         raise DataError("evaluation labels must be recoded (u-zeros) first")
-    return bootstrap_ci(
-        scores, proj.labels, proj.mask, list(labels), rng, n_bootstrap
-    )
+    return bootstrap_ci(scores, proj.labels, proj.mask, list(labels), rng, n_bootstrap)

@@ -19,7 +19,6 @@ in score order, read at each positive's two ``searchsorted`` bounds.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -113,18 +112,20 @@ class EvalReport:
     seed: int
     undefined: list[str] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The report in plain JSON types, as a report envelope stores it."""
+        return {
             "schema_version": _REPORT_SCHEMA_VERSION,
-            "per_label_auroc": self.per_label_auroc,
-            "mean_auroc": self.mean_auroc,
-            "ci95": list(self.ci95),
-            "n_bootstrap": self.n_bootstrap,
-            "seed": self.seed,
-            "undefined_labels": self.undefined,
-            "per_replicate_means": self.per_replicate_means,
+            "per_label_auroc": {
+                k: None if v is None else float(v) for k, v in self.per_label_auroc.items()
+            },
+            "mean_auroc": float(self.mean_auroc),
+            "ci95": [float(v) for v in self.ci95],
+            "n_bootstrap": int(self.n_bootstrap),
+            "seed": int(self.seed),
+            "undefined_labels": list(self.undefined),
+            "per_replicate_means": list(map(float, self.per_replicate_means)),
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _negatives_below(scores, labels, mask):

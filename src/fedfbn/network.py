@@ -2,8 +2,10 @@
 
 The representation block is a stack of dense -> batch-norm -> ReLU layers;
 on top sits one tiny sigmoid head per label so heads can be attached,
-dropped, and merged independently of the shared trunk. Training is plain
-SGD over a masked binary cross-entropy, with backprop done by hand.
+dropped, and merged independently of the shared trunk. The heads are
+stored packed, one row per label, and each head's arithmetic is exactly
+that of a separate per-label layer. Training is plain SGD over a masked
+binary cross-entropy, with backprop done by hand.
 
 Batch-norm has two behaviours, selected by ``BnPolicy`` during training:
 
@@ -30,6 +32,9 @@ from .numerics import RngStream, Tensor, batch_stats, check_finite
 REPRESENTATION = "representation"
 HEADS = "heads"
 
+HEAD_WEIGHT = f"{HEADS}/weight"
+HEAD_BIAS = f"{HEADS}/bias"
+# per-label head keys of model hashes and checkpoint files
 HEAD_PREFIX = "head:"
 
 
@@ -68,8 +73,8 @@ class Model:
 
     ``params`` is the flat parameter map: ``dense{i}/weight|bias`` and
     ``bn{i}/gamma|beta|running_mean|running_var`` in forward order, then
-    ``head:<label>/weight|bias`` in the spec's label order (see
-    ``param_shapes``).
+    ``heads/weight`` (one row per label) and ``heads/bias`` with labels in
+    the spec's order (see ``param_shapes``).
     """
 
     spec: ModelSpec
@@ -78,7 +83,7 @@ class Model:
 
 def key_kind(key: str) -> str:
     """The tensor kind aggregation rules tell apart: "dense", "bn" or "head"."""
-    if key.startswith(HEAD_PREFIX):
+    if key.startswith(f"{HEADS}/"):
         return "head"
     return "bn" if key.startswith("bn") else "dense"
 
@@ -93,15 +98,31 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
         for name in BN_TENSORS:
             shapes[f"bn{i}/{name}"] = (width,)
         fan_in = width
-    for label in spec.label_names:
-        shapes[f"{HEAD_PREFIX}{label}/weight"] = (fan_in, 1)
-        shapes[f"{HEAD_PREFIX}{label}/bias"] = (1,)
+    shapes[HEAD_WEIGHT] = (len(spec.label_names), fan_in)
+    shapes[HEAD_BIAS] = (len(spec.label_names),)
     return shapes
 
 
-def _init_tensor(rng: RngStream, key: str, shape: tuple[int, ...]) -> Tensor:
-    """He-uniform weights from a stream keyed by the layer; BN identity."""
+def per_label_params(params: dict[str, Tensor], labels) -> dict[str, Tensor]:
+    """``params`` keyed as model hashes and checkpoint files key them: the
+    trunk, then per label ``head:<label>/weight`` ``(width, 1)`` and
+    ``head:<label>/bias`` ``(1,)``, views of the packed rows (writes go
+    through)."""
+    view = {key: value for key, value in params.items() if key_kind(key) != "head"}
+    for j, label in enumerate(labels):
+        view[f"{HEAD_PREFIX}{label}/weight"] = params[HEAD_WEIGHT][j, :, None]
+        view[f"{HEAD_PREFIX}{label}/bias"] = params[HEAD_BIAS][j : j + 1]
+    return view
+
+
+def _init_tensor(rng: RngStream, key: str, shape: tuple[int, ...], labels) -> Tensor:
+    """He-uniform weights from a stream keyed by the layer, each head row
+    from its label's; zero biases; BN identity."""
     layer, name = key.rsplit("/", 1)
+    if key == HEAD_WEIGHT:
+        bound = math.sqrt(2.0 / shape[1])
+        streams = [rng.child(f"init:{HEAD_PREFIX}{label}") for label in labels]
+        return np.array([s.uniform(-bound, bound, shape[1]) for s in streams]).reshape(shape)
     if name == "weight":
         bound = math.sqrt(2.0 / shape[0])
         return rng.child(f"init:{layer}").uniform(-bound, bound, shape)
@@ -114,33 +135,29 @@ def init_model(spec: ModelSpec, rng: RngStream) -> Model:
     """Build a model from per-layer child streams of ``rng``.
 
     Each tensor draws from its own derived stream keyed by the layer name,
-    so the representation init is independent of the label list and any
-    two models sharing a label (and seed) start with identical heads.
+    and each head row from one keyed by its label, so the representation
+    init is independent of the label list and any two models sharing a
+    label (and seed) start with identical heads.
     """
     return Model(
         spec=spec,
         params={
-            key: _init_tensor(rng, key, shape)
+            key: _init_tensor(rng, key, shape, spec.label_names)
             for key, shape in param_shapes(spec).items()
         },
     )
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function; the exponent is never positive, so it cannot overflow."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_input(model: Model, x: Tensor) -> Tensor:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.spec.input_dim:
-        raise ShapeError(
-            f"expected inputs of shape (n, {model.spec.input_dim}), got {x.shape}"
-        )
+        raise ShapeError(f"expected inputs of shape (n, {model.spec.input_dim}), got {x.shape}")
     return x
 
 
@@ -177,10 +194,9 @@ def _forward(model: Model, x: Tensor, use_batch: bool):
         layers.append((h, pre, mean, xn, inv_std, out > 0.0))
         h = np.maximum(out, 0.0)
 
-    logits = np.empty((x.shape[0], len(spec.label_names)))
-    for j, label in enumerate(spec.label_names):
-        head = f"{HEAD_PREFIX}{label}"
-        logits[:, j : j + 1] = h @ p[f"{head}/weight"] + p[f"{head}/bias"]
+    # one (n, width) @ (width, 1) product per head, as with separate heads;
+    # C order keeps every later whole-array sum in row-major order
+    logits = np.add(np.matmul(h, p[HEAD_WEIGHT][:, :, None])[:, :, 0].T, p[HEAD_BIAS], order="C")
     check_finite(logits, "logits")
     return logits, h, layers
 
@@ -240,14 +256,18 @@ def backward(
     dlogits = (probs - labels) * mask / n_masked
 
     p = model.params
-    grads: dict[str, Tensor] = {}
+    # Each label as with a separate head: a (width, n) @ (n, 1) weight
+    # gradient, a bias sum over one contiguous row, and an outer product added
+    # to the trunk gradient in label order; a reduction over labels may pair
+    # the sums differently and change the last bits.
+    dcols = dlogits.T[:, :, None]
+    grads: dict[str, Tensor] = {
+        HEAD_WEIGHT: np.matmul(trunk.T, dcols)[:, :, 0],
+        HEAD_BIAS: np.ascontiguousarray(dlogits.T).sum(axis=1),
+    }
     dh = np.zeros_like(trunk)
-    for j, label in enumerate(model.spec.label_names):
-        head = f"{HEAD_PREFIX}{label}"
-        dcol = dlogits[:, j : j + 1]
-        grads[f"{head}/weight"] = trunk.T @ dcol
-        grads[f"{head}/bias"] = dcol.sum(axis=0)
-        dh = dh + dcol @ p[f"{head}/weight"].T
+    for outer in dcols * p[HEAD_WEIGHT][:, None, :]:
+        dh = dh + outer
 
     for i in reversed(range(len(layers))):
         h_in, pre, mean, xn, inv_std, active = layers[i]
@@ -278,11 +298,7 @@ def backward(
     return loss, grads
 
 
-def sgd_step(
-    model: Model,
-    grads: dict[str, Tensor],
-    lr_by_block: dict[str, float],
-) -> None:
+def sgd_step(model: Model, grads: dict[str, Tensor], lr_by_block: dict[str, float]) -> None:
     """In-place SGD update; a block with lr == 0 is skipped exactly."""
     for block in (REPRESENTATION, HEADS):
         if block not in lr_by_block:
@@ -295,9 +311,7 @@ def sgd_step(
         if param is None:
             raise ProtocolError(f"gradient for unknown parameter '{key}'")
         if param.shape != g.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} != parameter shape {param.shape} at {key}"
-            )
+            raise ShapeError(f"gradient shape {g.shape} != parameter shape {param.shape} at {key}")
         param -= lr * g
 
 
@@ -332,9 +346,7 @@ def train_epochs(
             idx = order[start : start + batch_size]
             if idx.size == 1:
                 continue
-            loss, grads = backward(
-                model, features[idx], labels[idx], mask[idx], policy
-            )
+            loss, grads = backward(model, features[idx], labels[idx], mask[idx], policy)
             sgd_step(model, grads, lr_by_block)
             losses.append(loss)
     return float(np.mean(losses)) if losses else math.nan
@@ -420,8 +432,8 @@ def with_heads(backbone: Model, labels: tuple[str, ...], rng: RngStream) -> Mode
         spec=spec,
         params={
             key: backbone.params[key].copy()
-            if key in backbone.params
-            else _init_tensor(rng, key, shape)
+            if key_kind(key) != "head"
+            else _init_tensor(rng, key, shape, spec.label_names)
             for key, shape in param_shapes(spec).items()
         },
     )

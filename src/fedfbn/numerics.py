@@ -39,8 +39,9 @@ def batch_stats(x: Tensor) -> tuple[Tensor, Tensor]:
         raise ShapeError(f"batch_stats expects rank-2 input, got {x.ndim}-d")
     if x.shape[0] == 0:
         raise DataError("batch_stats: empty batch")
-    mean = x.mean(axis=0)
-    var = np.mean((x - mean) ** 2, axis=0)
+    n = x.shape[0]
+    mean = np.add.reduce(x, axis=0) / n
+    var = np.add.reduce((x - mean) ** 2, axis=0) / n
     return mean, var
 
 

@@ -33,6 +33,7 @@ from fedfbn.network import (
     BnPolicy,
     ModelSpec,
     init_model,
+    per_label_params,
     train_epochs,
     warmup_heads,
     with_heads,
@@ -106,7 +107,7 @@ def test_fedavg_matches_elementwise_mean_oracle():
     b0, b1 = bundles_pair()
     gm = aggregate([b0, b1], Strategy.FEDAVG, SPEC)
     for key, value in gm.params.items():
-        if not key.startswith("head:"):
+        if not key.startswith("heads/"):
             oracle = 0.5 * b0.entries[key] + 0.5 * b1.entries[key]
             assert np.array_equal(value, oracle), key
 
@@ -169,31 +170,37 @@ def test_merge_heads_union_rule():
     b0, b1 = bundles_pair()
     heads, union = merge_heads([b0, b1], {0: 0.5, 1: 0.5})
     assert union == ("a", "b", "c")
-    assert np.array_equal(heads["head:a/weight"], b0.entries["head:a/weight"])
-    assert np.array_equal(heads["head:c/weight"], b1.entries["head:c/weight"])
-    want = 0.5 * (b0.entries["head:b/weight"] + b1.entries["head:b/weight"])
+    heads = per_label_params(heads, union)
+    e0 = per_label_params(b0.entries, b0.head_labels)
+    e1 = per_label_params(b1.entries, b1.head_labels)
+    assert np.array_equal(heads["head:a/weight"], e0["head:a/weight"])
+    assert np.array_equal(heads["head:c/weight"], e1["head:c/weight"])
+    want = 0.5 * (e0["head:b/weight"] + e1["head:b/weight"])
     assert np.allclose(heads["head:b/weight"], want, atol=0, rtol=0)
 
 
 def test_merge_heads_identical_owners_copy_exactly():
     m0 = make_model(("a", "b"), seed=11)
     m1 = make_model(("b", "c"), seed=12)
-    m1.params["head:b/weight"][:] = m0.params["head:b/weight"]
-    m1.params["head:b/bias"][:] = m0.params["head:b/bias"]
+    m1.params["heads/weight"][0] = m0.params["heads/weight"][1]
+    m1.params["heads/bias"][0] = m0.params["heads/bias"][1]
     b0 = extract_bundle(m0, 0, 0, 16)
     b1 = extract_bundle(m1, 1, 0, 16)
-    heads, _ = merge_heads([b0, b1], {0: 0.5, 1: 0.5})
-    assert heads["head:b/weight"].tobytes() == b0.entries["head:b/weight"].tobytes()
-    assert heads["head:b/bias"].tobytes() == b0.entries["head:b/bias"].tobytes()
+    heads, union = merge_heads([b0, b1], {0: 0.5, 1: 0.5})
+    heads = per_label_params(heads, union)
+    e0 = per_label_params(b0.entries, b0.head_labels)
+    assert heads["head:b/weight"].tobytes() == e0["head:b/weight"].tobytes()
+    assert heads["head:b/bias"].tobytes() == e0["head:b/bias"].tobytes()
 
 
 def test_merge_heads_three_owner_mean():
     models = [make_model(("x",), seed=s) for s in (21, 22, 23)]
     for value, m in zip((1.0, 2.0, 6.0), models):
-        m.params["head:x/weight"][:] = value
-        m.params["head:x/bias"][:] = value
+        m.params["heads/weight"][0] = value
+        m.params["heads/bias"][0] = value
     bundles = [extract_bundle(m, i, 0, 10) for i, m in enumerate(models)]
-    heads, _ = merge_heads(bundles, {0: 1 / 3, 1: 1 / 3, 2: 1 / 3})
+    heads, union = merge_heads(bundles, {0: 1 / 3, 1: 1 / 3, 2: 1 / 3})
+    heads = per_label_params(heads, union)
     assert np.allclose(heads["head:x/weight"], 3.0)
     assert np.allclose(heads["head:x/bias"], 3.0)
 
@@ -211,6 +218,8 @@ def test_merge_heads_random_topologies_match_oracle():
             bundles.append(extract_bundle(m, node, 0, 10))
         weights = {b.node_id: 1.0 / k for b in bundles}
         heads, union = merge_heads(bundles, weights)
+        heads = per_label_params(heads, union)
+        entries = {b.node_id: per_label_params(b.entries, b.head_labels) for b in bundles}
         # oracle: first-seen union order, renormalized fixed-order mean
         want_union = []
         for b in bundles:
@@ -223,12 +232,76 @@ def test_merge_heads_random_topologies_match_oracle():
             wsum = sum(weights[b.node_id] for b in owners)
             for name in ("weight", "bias"):
                 key = f"head:{label}/{name}"
-                acc = (weights[owners[0].node_id] / wsum) * owners[0].entries[key]
+                acc = (weights[owners[0].node_id] / wsum) * entries[owners[0].node_id][key]
                 for b in owners[1:]:
-                    acc = acc + (weights[b.node_id] / wsum) * b.entries[key]
+                    acc = acc + (weights[b.node_id] / wsum) * entries[b.node_id][key]
                 if len(owners) == 1:
-                    acc = owners[0].entries[key]
+                    acc = entries[owners[0].node_id][key]
                 assert np.array_equal(heads[key], acc), (trial, label, name)
+
+
+def reference_merge_heads(bundles, weights):
+    """Merge over per-label head keys: a key is copied when all its owners
+    agree bit for bit, else it is their renormalized mean in bundle order."""
+    owners = {}
+    for b in bundles:
+        for key, value in per_label_params(b.entries, b.head_labels).items():
+            if key.startswith("head:"):
+                owners.setdefault(key, []).append((weights[b.node_id], value))
+    merged = {}
+    for key, own in owners.items():
+        first = own[0][1]
+        if all(value.tobytes() == first.tobytes() for _, value in own[1:]):
+            merged[key] = first.copy()
+            continue
+        wsum = sum(w for w, _ in own)
+        acc = (own[0][0] / wsum) * first
+        for w, value in own[1:]:
+            acc = acc + (w / wsum) * value
+        merged[key] = acc
+    return merged
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    nodes=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from("abcdef"), min_size=1, max_size=6, unique=True),
+            st.integers(1, 1000),
+            # per label: which of two value draws and which zero sign the row
+            # takes, so owners agree, differ, or differ only in a zero's sign
+            st.lists(st.tuples(st.integers(0, 1), st.booleans()), min_size=6, max_size=6),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    seed=st.integers(0, 2**63),
+)
+def test_merge_heads_matches_per_label_oracle(nodes, seed):
+    bundles = []
+    for node_id, (labels, samples, rows) in enumerate(nodes):
+        model = make_model(labels)
+        view = per_label_params(model.params, labels)
+        for label in labels:
+            draw, negative_zero = rows["abcdef".index(label)]
+            for name in ("weight", "bias"):
+                value = view[f"head:{label}/{name}"]
+                value[:] = RngStream(seed).child(f"{label}/{name}/{draw}").standard_normal(
+                    value.shape
+                )
+                value.flat[0] = -0.0 if negative_zero else 0.0
+        bundles.append(extract_bundle(model, node_id, 0, samples))
+    total = sum(b.sample_count for b in bundles)
+    weights = {b.node_id: b.sample_count / total for b in bundles}
+
+    heads, union = merge_heads(bundles, weights)
+    assert union == tuple(dict.fromkeys(l for b in bundles for l in b.head_labels))
+    assert sorted(heads) == ["heads/bias", "heads/weight"]
+    got = {k: v for k, v in per_label_params(heads, union).items() if k.startswith("head:")}
+    want = reference_merge_heads(bundles, weights)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key].tobytes() == want[key].tobytes(), key
 
 
 def random_bundle(node_id, labels, samples, seed, shared_bn, twin):
@@ -236,7 +309,7 @@ def random_bundle(node_id, labels, samples, seed, shared_bn, twin):
     stream shared by all twins, so their heads agree bit for bit."""
     model = make_model(labels)
     node_rng = RngStream(seed).child("twin" if twin else f"node{node_id}")
-    for key, value in model.params.items():
+    for key, value in per_label_params(model.params, labels).items():
         source = RngStream(seed) if shared_bn and key.startswith("bn") else node_rng
         value[:] = source.child(key).standard_normal(value.shape)
     return extract_bundle(model, node_id, 0, samples)

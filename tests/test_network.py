@@ -5,15 +5,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedfbn.errors import ConfigError, DataError, ProtocolError, ShapeError
 from fedfbn.network import (
     BnPolicy,
     ModelSpec,
+    _forward,
     backward,
     evaluate_loss,
     init_model,
     masked_bce,
+    per_label_params,
     predict,
     pretrain_backbone,
     sgd_step,
@@ -21,6 +25,7 @@ from fedfbn.network import (
     warmup_heads,
     with_heads,
 )
+from fedfbn.network import sigmoid as logistic
 from fedfbn.numerics import RngStream
 
 
@@ -44,8 +49,8 @@ def unit_chain_model(running_mean=0.0, running_var=1.0):
     model.params["dense0/bias"][:] = 0.0
     model.params["bn0/running_mean"][:] = running_mean
     model.params["bn0/running_var"][:] = running_var
-    model.params["head:y/weight"][:] = 1.0
-    model.params["head:y/bias"][:] = 0.0
+    model.params["heads/weight"][0] = 1.0
+    model.params["heads/bias"][0] = 0.0
     return model
 
 
@@ -135,7 +140,7 @@ def test_frozen_and_eval_mutate_nothing():
 def test_zero_weight_heads_output_half():
     model = init_model(tiny_spec(), RngStream(11))
     for key, value in model.params.items():
-        if key.startswith("head:"):
+        if key.startswith("heads/"):
             value[:] = 0.0
     out = predict(model, RngStream(12).standard_normal((5, 3)))
     assert np.array_equal(out, np.full((5, 2), 0.5))
@@ -254,15 +259,15 @@ def test_fully_unobserved_label_gets_zero_gradient():
     x, y, mask = make_batch(spec, 6, 24)
     mask[:, 1] = 0.0
     _, grads = backward(model, x, y, mask, BnPolicy.NORMAL)
-    assert np.array_equal(grads["head:b/weight"], np.zeros((3, 1)))
-    assert np.array_equal(grads["head:b/bias"], np.zeros(1))
+    assert np.array_equal(grads["heads/weight"][1], np.zeros(3))
+    assert np.array_equal(grads["heads/bias"][1], 0.0)
 
 
 def test_sgd_step_hand_case_and_zero_lr():
     model = unit_chain_model()
-    grads = {"head:y/weight": np.array([[2.0]]), "head:y/bias": np.array([0.0])}
+    grads = {"heads/weight": np.array([[2.0]]), "heads/bias": np.array([0.0])}
     sgd_step(model, grads, {"representation": 0.1, "heads": 0.1})
-    assert model.params["head:y/weight"][0, 0] == 1.0 - 0.1 * 2.0
+    assert model.params["heads/weight"][0, 0] == 1.0 - 0.1 * 2.0
     before = {k: v.copy() for k, v in model.params.items()}
     sgd_step(model, grads, {"representation": 0.0, "heads": 0.0})
     after = model.params
@@ -272,12 +277,12 @@ def test_sgd_step_hand_case_and_zero_lr():
 def test_sgd_step_rejects_unknown_key_and_wrong_shape():
     model = unit_chain_model()
     lrs = {"representation": 0.1, "heads": 0.1}
-    with pytest.raises(ProtocolError, match="head:z/weight"):
-        sgd_step(model, {"head:z/weight": np.zeros((1, 1))}, lrs)
+    with pytest.raises(ProtocolError, match="heads/z"):
+        sgd_step(model, {"heads/z": np.zeros((1, 1))}, lrs)
     with pytest.raises(ShapeError, match="dense0/weight"):
         sgd_step(model, {"dense0/weight": np.zeros((2, 1))}, lrs)
     # a zero-lr block is skipped before any check
-    sgd_step(model, {"head:z/weight": np.zeros(3)}, dict(lrs, heads=0.0))
+    sgd_step(model, {"heads/z": np.zeros(3)}, dict(lrs, heads=0.0))
 
 
 def test_sgd_step_block_selectivity():
@@ -289,7 +294,7 @@ def test_sgd_step_block_selectivity():
     sgd_step(model, grads, {"representation": 0.0, "heads": 1e-3})
     after = model.params
     for key in before:
-        if key.startswith("head:"):
+        if key.startswith("heads/"):
             assert not np.array_equal(before[key], after[key])
         else:
             assert np.array_equal(before[key], after[key])
@@ -361,11 +366,11 @@ def test_warmup_trains_heads_only():
     model = init_model(spec, RngStream(39))
     x, y, mask = make_batch(spec, 60, 40)
     trunk_before = {
-        k: v.copy() for k, v in model.params.items() if not k.startswith("head:")
+        k: v.copy() for k, v in model.params.items() if not k.startswith("heads/")
     }
     warmup_heads(model, x, y, mask, epochs=3, rng=RngStream(41))
     trunk_after = {
-        k: v for k, v in model.params.items() if not k.startswith("head:")
+        k: v for k, v in model.params.items() if not k.startswith("heads/")
     }
     assert all(np.array_equal(trunk_before[k], trunk_after[k]) for k in trunk_before)
 
@@ -388,8 +393,8 @@ def test_warmup_fits_separable_toy_task():
     y = (x @ w > 0.0).astype(np.float64).reshape(-1, 1)
     mask = np.ones_like(y)
     model = init_model(ModelSpec(5, (), ("sep",)), RngStream(46))
-    model.params["head:sep/weight"][:] = 0.0
-    model.params["head:sep/bias"][:] = 0.0
+    model.params["heads/weight"][0] = 0.0
+    model.params["heads/bias"][0] = 0.0
     start = evaluate_loss(model, x, y, mask)
     warmup_heads(model, x, y, mask, epochs=20, rng=RngStream(47))
     end = evaluate_loss(model, x, y, mask)
@@ -412,7 +417,7 @@ def test_pretrain_backbone_contract():
     ta, tb = trained.params, again.params
     assert all(np.array_equal(ta[k], tb[k]) for k in ta)
     assert trained.spec.label_names == ()
-    assert not any(k.startswith("head:") for k in trained.params)
+    assert not any(k.startswith("heads/") for k in trained.params)
     # statistics were learned off the identity init
     assert not np.array_equal(
         trained.params["bn0/running_var"], np.ones(4)
@@ -422,7 +427,7 @@ def test_pretrain_backbone_contract():
     )
     init = init_model(ModelSpec(3, (4, 3), src_labels), RngStream(49))
     init_tensors = {
-        k: v for k, v in init.params.items() if not k.startswith("head:")
+        k: v for k, v in init.params.items() if not k.startswith("heads/")
     }
     fresh_tensors = fresh.params
     assert all(np.array_equal(init_tensors[k], fresh_tensors[k]) for k in init_tensors)
@@ -443,8 +448,143 @@ def test_with_heads_shares_trunk_and_aligns_shared_heads():
     m0 = with_heads(backbone, ("a", "b"), seed)
     m1 = with_heads(backbone, ("b", "c"), seed)
     # the shared label's head is initialized identically at both nodes
-    assert np.array_equal(m0.params["head:b/weight"], m1.params["head:b/weight"])
-    assert np.array_equal(m0.params["head:b/bias"], m1.params["head:b/bias"])
+    assert np.array_equal(m0.params["heads/weight"][1], m1.params["heads/weight"][0])
+    assert np.array_equal(m0.params["heads/bias"][1], m1.params["heads/bias"][0])
     # trunk is copied, not aliased
     m0.params["dense0/weight"][0, 0] += 1.0
     assert backbone.params["dense0/weight"][0, 0] != m0.params["dense0/weight"][0, 0]
+
+
+def reference_sigmoid(x):
+    """The boolean-mask form of the logistic function."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_matches_boolean_mask_form_bit_for_bit():
+    rng = RngStream(60)
+    for trial in range(200):
+        scale = [1.0, 30.0, 800.0][trial % 3]
+        x = scale * rng.standard_normal((int(rng.integers(1, 70)), int(rng.integers(1, 16))))
+        x.flat[:: 7] = 0.0
+        x.flat[3 :: 11] = -0.0
+        assert logistic(x).tobytes() == reference_sigmoid(x).tobytes(), trial
+
+
+def reference_pass(model, x, labels, mask, policy):
+    """Training-mode forward and backward with one separate ``(width, 1)``
+    head per label, the per-label loop the packed heads must reproduce.
+
+    Works on contiguous copies of the per-label view of ``model.params`` and
+    returns ``(logits, loss, grads, params)``, both maps keyed per label.
+    ``params`` holds the running statistics a NORMAL pass updated.
+    """
+    spec = model.spec
+    p = {k: v.copy() for k, v in per_label_params(model.params, spec.label_names).items()}
+    use_batch = policy is BnPolicy.NORMAL
+    h = x
+    layers = []
+    for i in range(len(spec.hidden_dims)):
+        pre = h @ p[f"dense{i}/weight"] + p[f"dense{i}/bias"]
+        if use_batch:
+            mean = pre.mean(axis=0)
+            var = np.mean((pre - mean) ** 2, axis=0)
+            m = spec.bn_momentum
+            p[f"bn{i}/running_mean"] = (1.0 - m) * p[f"bn{i}/running_mean"] + m * mean
+            p[f"bn{i}/running_var"] = (1.0 - m) * p[f"bn{i}/running_var"] + m * var
+        else:
+            mean, var = p[f"bn{i}/running_mean"], p[f"bn{i}/running_var"]
+        inv_std = 1.0 / np.sqrt(var + spec.bn_eps)
+        xn = (pre - mean) * inv_std
+        out = p[f"bn{i}/gamma"] * xn + p[f"bn{i}/beta"]
+        layers.append((h, pre, mean, xn, inv_std, out > 0.0))
+        h = np.maximum(out, 0.0)
+    logits = np.empty((x.shape[0], len(spec.label_names)))
+    for j, label in enumerate(spec.label_names):
+        head = f"head:{label}"
+        logits[:, j : j + 1] = h @ p[f"{head}/weight"] + p[f"{head}/bias"]
+
+    probs = reference_sigmoid(logits)
+    loss = masked_bce(probs, labels, mask)
+    dlogits = (probs - labels) * mask / float(mask.sum())
+    grads = {}
+    dh = np.zeros_like(h)
+    for j, label in enumerate(spec.label_names):
+        head = f"head:{label}"
+        dcol = dlogits[:, j : j + 1]
+        grads[f"{head}/weight"] = h.T @ dcol
+        grads[f"{head}/bias"] = dcol.sum(axis=0)
+        dh = dh + dcol @ p[f"{head}/weight"].T
+    for i in reversed(range(len(layers))):
+        h_in, pre, mean, xn, inv_std, active = layers[i]
+        dh = dh * active
+        gamma = p[f"bn{i}/gamma"]
+        if use_batch:
+            n = xn.shape[0]
+            dxn = dh * gamma
+            centered = pre - mean
+            dvar = (dxn * centered).sum(axis=0) * (-0.5) * inv_std**3
+            dmean = -(dxn.sum(axis=0)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=0)
+            dpre = dxn * inv_std + dvar * 2.0 * centered / n + dmean / n
+            grads[f"bn{i}/gamma"] = (dh * xn).sum(axis=0)
+            grads[f"bn{i}/beta"] = dh.sum(axis=0)
+        else:
+            dpre = dh * gamma * inv_std
+        grads[f"dense{i}/weight"] = h_in.T @ dpre
+        grads[f"dense{i}/bias"] = dpre.sum(axis=0)
+        dh = dpre @ p[f"dense{i}/weight"].T
+    return logits, loss, grads, p
+
+
+def assert_same_bits(got, want, what):
+    assert sorted(got) == sorted(want), what
+    for key in want:
+        assert got[key].shape == want[key].shape, (what, key)
+        assert got[key].tobytes() == want[key].tobytes(), (what, key)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    policy=st.sampled_from(list(BnPolicy)),
+    rows=st.integers(2, 90),
+    input_dim=st.integers(1, 6),
+    hidden=st.lists(st.integers(1, 12), max_size=2),
+    n_labels=st.integers(1, 15),
+    seed=st.integers(0, 2**32),
+)
+@example(policy=BnPolicy.NORMAL, rows=2, input_dim=3, hidden=[4, 3], n_labels=2, seed=1)
+@example(policy=BnPolicy.FROZEN, rows=2, input_dim=2, hidden=[1], n_labels=9, seed=2)
+@example(policy=BnPolicy.NORMAL, rows=63, input_dim=4, hidden=[5, 1], n_labels=14, seed=3)
+@example(policy=BnPolicy.FROZEN, rows=65, input_dim=32, hidden=[64, 32], n_labels=14, seed=4)
+@example(policy=BnPolicy.NORMAL, rows=64, input_dim=32, hidden=[64, 32], n_labels=14, seed=5)
+def test_packed_heads_match_per_label_loop_bit_for_bit(
+    policy, rows, input_dim, hidden, n_labels, seed
+):
+    labels = tuple(f"l{j}" for j in range(n_labels))
+    model = init_model(ModelSpec(input_dim, tuple(hidden), labels), RngStream(seed))
+    rng = RngStream(seed).child("batch")
+    for key, value in model.params.items():  # off the identity BN init
+        if key.startswith("bn") or key.endswith("bias"):
+            value[:] = rng.child(key).standard_normal(value.shape)
+        if key.endswith("running_var"):
+            value[:] = 0.5 + np.abs(value)
+    x = 2.0 * rng.standard_normal((rows, input_dim))
+    y = (rng.random((rows, n_labels)) < 0.4).astype(np.float64)
+    mask = (rng.random((rows, n_labels)) < 0.7).astype(np.float64)
+    mask[0] = 1.0
+
+    want_logits, want_loss, want_grads, want_params = reference_pass(
+        model, x, y, mask, policy
+    )
+    logits, _, _ = _forward(copy.deepcopy(model), x, policy is BnPolicy.NORMAL)
+    assert logits.tobytes() == want_logits.tobytes()
+    assert logits.flags.c_contiguous
+    packed = copy.deepcopy(model)
+    loss, grads = backward(packed, x, y, mask, policy)
+    assert loss == want_loss
+    assert_same_bits(per_label_params(grads, labels), want_grads, "grads")
+    assert_same_bits(per_label_params(packed.params, labels), want_params, "params")

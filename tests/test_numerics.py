@@ -27,6 +27,18 @@ def test_batch_stats_matches_two_pass_oracle():
     assert np.max(np.abs((x - mean).mean(axis=0))) < 1e-12
 
 
+def test_batch_stats_matches_np_mean_bit_for_bit():
+    rng = RngStream(12)
+    for trial in range(300):
+        shape = (int(rng.integers(1, 200)), int(rng.integers(1, 70)))
+        x = (10.0 ** float(rng.integers(-3, 4))) * rng.standard_normal(shape)
+        mean, var = batch_stats(x)
+        want_mean = np.mean(x, axis=0)
+        want_var = np.mean((x - want_mean) ** 2, axis=0)
+        assert mean.tobytes() == want_mean.tobytes(), trial
+        assert var.tobytes() == want_var.tobytes(), trial
+
+
 def test_batch_stats_empty_batch():
     with pytest.raises(DataError):
         batch_stats(np.zeros((0, 3)))
