@@ -40,7 +40,8 @@ def _cmd_run(args) -> int:
     out_dir = args.out or os.path.join(
         cfg.out_dir, f"{cfg.scenario}_seed{cfg.seed}"
     )
-    result = run_experiment(cfg, progress=lambda msg: print(msg, flush=True))
+    # one write per line, so the lines of arms training at once never tear
+    result = run_experiment(cfg, progress=lambda msg: print(f"{msg}\n", end="", flush=True))
     files = emit_reports(result, out_dir, render_config(cfg))
     print(f"wrote {len(files)} files to {out_dir}")
     failed = {arm: r.error for arm, r in result.arms.items() if r.error}

@@ -36,7 +36,7 @@ def gaussian_quantile(q: float) -> float:
     lo, hi = -9.0, 9.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if float(gaussian_cdf(mid)) < q:
+        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:  # gaussian_cdf, scalar
             lo = mid
         else:
             hi = mid

@@ -37,6 +37,10 @@ class ParseError(FedfbnError):
     """A text file could not be parsed; message carries the location."""
 
 
+class WorkerError(FedfbnError):
+    """A worker process ended without returning the arms it trained."""
+
+
 class NodeFailure(FedfbnError):
     """A node failed during a federation round.
 

@@ -25,6 +25,7 @@ import hashlib
 import itertools
 import json
 import os
+import pickle
 import sys
 from dataclasses import dataclass, field
 
@@ -42,7 +43,7 @@ from .datagen import (
     shifted_domain,
     split_by_patient,
 )
-from .errors import ConfigError, ParseError, ProtocolError
+from .errors import ConfigError, ParseError, ProtocolError, WorkerError
 from .federation import (
     GlobalModel,
     Node,
@@ -324,6 +325,59 @@ def _round_progress(arm: str, progress):
     return on_round
 
 
+def _train_forked(arms: tuple[str, ...], train, trained: dict, fail, state) -> list:
+    """``train`` the arms here and in forked workers, one process per usable CPU.
+
+    Each process takes the next arm index from one pipe. A worker pickles back
+    its ``trained`` arms and the ``state()`` of its copy of the shared data, and
+    always ends through ``os._exit``; the arms of a worker that sends back
+    nothing readable fail with a WorkerError. Returns the workers' states.
+    """
+    n_workers = min(len(os.sched_getaffinity(0)), len(arms)) - 1
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(arms))))
+    os.close(feed)
+    sys.stdout.flush()  # or a worker repeats what is still buffered
+    workers, states, lost = [], [], []
+    try:
+        for _ in range(n_workers):
+            result_r, result_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(result_r)
+                    trained.clear()
+                    while index := os.read(queue, 1):
+                        train(arms[index[0]])
+                    with open(result_w, "wb") as fh:
+                        pickle.dump((trained, state()), fh)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(result_w)
+            workers.append((pid, result_r))
+        while index := os.read(queue, 1):
+            train(arms[index[0]])
+    finally:
+        os.close(queue)
+        for pid, result_r in workers:
+            with open(result_r, "rb") as fh:
+                blob = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            try:
+                sent, worker_state = pickle.loads(blob)
+            except Exception as exc:
+                lost.append(f"worker exited with code {code} ({type(exc).__name__}: {exc})")
+                continue
+            trained.update(sent)
+            states.append(worker_state)
+    for arm in arms:
+        if arm not in trained:
+            fail(arm, WorkerError("; ".join(lost)))
+    return states
+
+
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     """Build the scenario once, then run every configured arm against it.
 
@@ -332,8 +386,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     mutating shared state is an error, not a silent skew. A failing arm is
     recorded and the remaining arms still run. All arms train before any is
     evaluated, so every arm on a (test set, view) shares one set of
-    bootstrap draws. ``progress`` gets a line per round and one per arm
-    once its status is final.
+    bootstrap draws. Arms train in parallel on the CPUs this process may
+    use. ``progress`` gets a line per round and one per arm once its status
+    is final.
     """
     data = build_scenario(cfg)
     master = RngStream(cfg.seed)
@@ -379,8 +434,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     node_models = [warmed["node0"], warmed["node1"]]
     central_model = warmed["centralized"]
 
-    dataset_hashes = data.content_hashes()
-    start_hashes = {name: model_hash(m) for name, m in warmed.items()}
+    def shared_state() -> tuple[dict[str, str], dict[str, str]]:
+        return data.content_hashes(), {name: model_hash(m) for name, m in warmed.items()}
+
+    dataset_hashes, start_hashes = shared_state()
 
     arms: dict[str, ArmResult] = {}
 
@@ -389,12 +446,19 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         if progress is not None:
             progress(f"arm {arm}: {arms[arm].error}")
 
-    for arm in cfg.arms:
+    def train(arm: str) -> None:
         on_round = None if progress is None else _round_progress(arm, progress)
         try:
             arms[arm] = _execute_arm(arm, cfg, data, node_models, central_model, master, on_round)
         except Exception as exc:
             fail(arm, exc)
+
+    # The first arm trains before anything is forked, so the first call into
+    # the work is made by this process alone.
+    train(cfg.arms[0])
+    worker_states = _train_forked(cfg.arms[1:], train, arms, fail, shared_state)
+    for arm in cfg.arms:
+        arms[arm] = arms.pop(arm)
     # Per (test set, view), score every trained arm and BN variant, then
     # bootstrap them all on one set of eval:<test>:<view> draws. A scoring
     # error fails only its arm; a bootstrap error depends only on the
@@ -437,10 +501,11 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
             if result.error is None:
                 progress(f"arm {arm}: ok")
 
-    if data.content_hashes() != dataset_hashes:
-        raise ProtocolError("an arm mutated the shared datasets")
-    if {name: model_hash(m) for name, m in warmed.items()} != start_hashes:
-        raise ProtocolError("an arm mutated the shared warmed models")
+    for datasets, models in [shared_state(), *worker_states]:
+        if datasets != dataset_hashes:
+            raise ProtocolError("an arm mutated the shared datasets")
+        if models != start_hashes:
+            raise ProtocolError("an arm mutated the shared warmed models")
 
     return ExperimentResult(
         config=cfg,

@@ -22,7 +22,6 @@ function of the inputs, not of scheduling.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -421,7 +420,7 @@ def run_federation(
         is_best = mean_val < best_loss
         if is_best:
             best_loss = mean_val
-            best = copy.deepcopy(latest)
+            best = latest  # never mutated: materialize copies
             best_round = r
         report = RoundReport(
             round_index=r,

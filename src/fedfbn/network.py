@@ -293,7 +293,8 @@ def backward(
 
         grads[f"dense{i}/weight"] = h_in.T @ dpre
         grads[f"dense{i}/bias"] = dpre.sum(axis=0)
-        dh = dpre @ p[f"dense{i}/weight"].T
+        if i > 0:  # nothing reads the gradient of the input
+            dh = dpre @ p[f"dense{i}/weight"].T
 
     return loss, grads
 

@@ -104,16 +104,28 @@ def test_report_rerenders_in_place(tiny_config, tmp_path):
     assert (out / "summary.csv").read_bytes() == summary
 
 
-def test_run_prints_a_line_per_round_and_per_arm(tiny_config, tmp_path, capsys):
-    assert main(["run", "--config", str(tiny_config), "--out", str(tmp_path / "o")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    # two arms of two rounds each; an arm's status once all arms are evaluated
-    assert [line.split(":")[0] for line in lines] == [
-        "arm fedfbn round 0", "arm fedfbn round 1", "arm fedavg round 0", "arm fedavg round 1",
-        "arm fedfbn", "arm fedavg", f"wrote {len(os.listdir(tmp_path / 'o'))} files to {tmp_path / 'o'}",
+def test_run_prints_a_line_per_round_and_per_arm(tiny_config, tmp_path, capfd, monkeypatch):
+    # two CPUs: the arms after the first train in a worker, which prints to fd 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = tmp_path / "o"
+    arms = ["fedfbn", "fedavg", "centralized"]
+    argv = ["run", "--config", str(tiny_config), "--arms", ",".join(arms), "--out", str(out)]
+    assert main(argv) == 0
+    lines = capfd.readouterr().out.splitlines()
+    # three arms of two rounds each, each arm's rounds in order; the arms
+    # after the first may interleave; an arm's status once all arms are evaluated
+    heads = [line.split(":")[0] for line in lines]
+    assert heads[:2] == ["arm fedfbn round 0", "arm fedfbn round 1"]
+    assert sorted(heads[:6]) == sorted(f"arm {arm} round {r}" for arm in arms for r in (0, 1))
+    for arm in arms:
+        assert [h for h in heads if h.startswith(f"arm {arm} round")] == [
+            f"arm {arm} round 0", f"arm {arm} round 1",
+        ]
+    assert lines[6:] == [
+        "arm fedfbn: ok", "arm fedavg: ok", "arm centralized: ok",
+        f"wrote {len(os.listdir(out))} files to {out}",
     ]
-    assert lines[4:6] == ["arm fedfbn: ok", "arm fedavg: ok"]
-    assert all("mean val BCE" in line and "best" in line for line in lines[:4])
+    assert all("mean val BCE" in line and "best" in line for line in lines[:6])
 
 
 def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, capsys):

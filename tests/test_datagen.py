@@ -48,6 +48,22 @@ def test_gaussian_quantile_inverts_cdf():
         assert abs(gaussian_cdf(gaussian_quantile(q)) - q) < 1e-9
 
 
+def test_gaussian_quantile_matches_the_bisection_over_the_array_cdf():
+    def oracle(q):  # the same bisection, with each step through gaussian_cdf
+        lo, hi = -9.0, 9.0
+        for _ in range(90):
+            mid = 0.5 * (lo + hi)
+            if float(gaussian_cdf(mid)) < q:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    qs = [i / 293 for i in range(1, 293)] + [1e-15, 1e-9, 0.05, 0.5, 0.95, 1 - 1e-9, 1 - 2**-52]
+    for q in qs:
+        assert gaussian_quantile(q) == oracle(q), q
+
+
 def test_label_model_prevalence_in_bounds():
     lm = LabelModel.sample(14, 16, RngStream(5))
     prev = analytic_prevalence(lm)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import select
 
 import numpy as np
 import pytest
@@ -43,6 +44,43 @@ def tiny_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def force_cpus(monkeypatch, n):
+    """Make the arm loop see ``n`` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def in_workers(monkeypatch):
+    """Force two CPUs and call ``hook(arm, *args)`` before each arm a worker trains.
+
+    The parent holds its second arm until a worker has taken one, so with
+    two or more arms after the first a worker surely trains one.
+    """
+    taken_r, taken_w = os.pipe()
+    parent, real = os.getpid(), experiments._execute_arm
+
+    def install(hook):
+        force_cpus(monkeypatch, 2)
+        in_parent = []
+
+        def execute(arm, *args):
+            if os.getpid() != parent:
+                os.write(taken_w, b"x")
+                hook(arm, *args)
+            else:
+                in_parent.append(arm)
+                if len(in_parent) == 2:
+                    assert select.select([taken_r], [], [], 60)[0], "no worker took an arm"
+                    os.read(taken_r, 1)
+            return real(arm, *args)
+
+        monkeypatch.setattr(experiments, "_execute_arm", execute)
+
+    yield install
+    os.close(taken_r)
+    os.close(taken_w)
 
 
 def test_iid_complete_topology():
@@ -195,7 +233,8 @@ TINY_RUN_DIGESTS = {
 
 
 @pytest.mark.parametrize("scenario", sorted(TINY_RUN_DIGESTS))
-def test_tiny_run_results_are_pinned(scenario, tmp_path):
+def test_tiny_run_results_are_pinned(scenario, tmp_path, monkeypatch):
+    force_cpus(monkeypatch, 2)  # five arms after the first: a worker trains some
     text = TINY_RUN_INI.format(scenario=scenario)
     files = emit_reports(run_experiment(parse_config(text)), tmp_path, text)
     pinned = TINY_RUN_DIGESTS[scenario]
@@ -206,6 +245,18 @@ def test_tiny_run_results_are_pinned(scenario, tmp_path):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         for name in pinned
     } == pinned
+
+
+def test_run_dir_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    text = TINY_RUN_INI.format(scenario="iid_complete")
+    runs = []
+    for cpus in (1, 2, 4):  # no worker, one worker, three workers
+        force_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        files = emit_reports(run_experiment(parse_config(text)), out, text)
+        runs.append({name: (out / name).read_bytes() for name in files})
+    assert len(runs[0]) == 35
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_patient_id_namespaces_do_not_collide():
@@ -367,6 +418,7 @@ def test_rerender_requires_report_envelopes(tmp_path):
 
 
 def test_failing_arm_is_recorded_and_others_continue(tmp_path, monkeypatch):
+    force_cpus(monkeypatch, 2)
     real = experiments._execute_arm
 
     def flaky(arm, *args, **kwargs):
@@ -392,21 +444,22 @@ def test_scoring_failure_fails_only_its_arm(tmp_path, monkeypatch):
 
     emit_reports(run_experiment(scenario(("fedfbn", "fedbn"))), tmp_path / "without", "")
     real_execute, real_score = experiments._execute_arm, experiments.score_global
-    doomed, scored = [], []
+    scored = []
 
     def execute(arm, *args):
         result = real_execute(arm, *args)
-        if arm == "fedavg":
-            doomed.append(result.global_model)
+        if arm == "fedavg":  # the mark travels with the model out of a worker
+            result.global_model.doomed = True
         return result
 
     def score(gm, *args, **kwargs):
-        if doomed and gm is doomed[0]:
+        if getattr(gm, "doomed", False):
             scored.append(gm)
             if len(scored) == 3:  # after it was scored on two (test set, view)s
                 raise LabelError("synthetic scoring failure")
         return real_score(gm, *args, **kwargs)
 
+    force_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "_execute_arm", execute)
     monkeypatch.setattr(experiments, "score_global", score)
     progress = []
@@ -430,9 +483,10 @@ def test_arm_mutating_shared_data_is_a_protocol_error(monkeypatch):
         data.node_train[0].features[0, 0] += 1.0
         return real(arm, cfg, data, *rest)
 
+    force_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "_execute_arm", vandal)
     with pytest.raises(ProtocolError, match="shared datasets"):
-        run_experiment(tiny_cfg(arms=("fedavg",)))
+        run_experiment(tiny_cfg())
 
 
 def test_arm_mutating_warmed_models_is_a_protocol_error(monkeypatch):
@@ -442,9 +496,50 @@ def test_arm_mutating_warmed_models_is_a_protocol_error(monkeypatch):
         node_models[0].params["dense0/weight"][0, 0] += 1.0
         return real(arm, cfg, data, node_models, *rest)
 
+    force_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "_execute_arm", vandal)
     with pytest.raises(ProtocolError, match="warmed models"):
-        run_experiment(tiny_cfg(arms=("fedavg",)))
+        run_experiment(tiny_cfg())
+
+
+def _spoil_data(arm, cfg, data, *rest):
+    data.node_train[0].features[0, 0] += 1.0
+
+
+def _spoil_models(arm, cfg, data, node_models, *rest):
+    node_models[0].params["dense0/weight"][0, 0] += 1.0
+
+
+@pytest.mark.parametrize("spoil, match", [(_spoil_data, "shared datasets"),
+                                          (_spoil_models, "warmed models")])
+def test_arm_mutating_the_copy_of_a_worker_is_a_protocol_error(in_workers, spoil, match):
+    in_workers(spoil)
+    with pytest.raises(ProtocolError, match=match):
+        run_experiment(tiny_cfg())
+
+
+def test_dead_worker_fails_only_the_arm_it_took(tmp_path, in_workers):
+    cfg = tiny_cfg(arms=("fedfbn", "fedavg", "fedbn", "centralized"))
+    emit_reports(run_experiment(cfg), tmp_path / "alive", "")
+    in_workers(lambda *args: os._exit(3))
+    result = run_experiment(cfg)
+    assert list(result.arms) == list(cfg.arms)
+    errors = {arm: r.error for arm, r in result.arms.items() if r.error is not None}
+    assert len(errors) == 1, errors
+    (dead,) = errors
+    assert dead != "fedfbn"  # the first arm trains before the fork
+    assert errors[dead].startswith("WorkerError: worker exited with code 3 (EOFError")
+    files = emit_reports(result, tmp_path / "dead", "")
+    kept = sorted(n for n in files if n.startswith(("report_", "rounds_", "global_")))
+    assert kept == sorted(
+        n for n in os.listdir(tmp_path / "alive")
+        if n.startswith(("report_", "rounds_", "global_"))
+        and not n.startswith((f"report_{dead}_", f"rounds_{dead}.", f"global_{dead}."))
+    )
+    for name in kept:
+        assert (tmp_path / "dead" / name).read_bytes() == (tmp_path / "alive" / name).read_bytes()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_full_run_replays_byte_identically(tmp_path):
