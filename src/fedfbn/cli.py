@@ -98,6 +98,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         _error_line("IOError", str(exc))
         return 1
+    except MemoryError as exc:
+        _error_line("MemoryError", str(exc) or "out of memory")
+        return 1
 
 
 if __name__ == "__main__":

@@ -74,6 +74,9 @@ class ExperimentConfig:
         for name, value in floats + [("node_lrs", v) for v in self.node_lrs or ()]:
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        # RngStream keys on 64 bits; a wider seed would replay another seed's run
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
                 f"unknown scenario '{self.scenario}'; choose one of {SCENARIOS}"

@@ -38,7 +38,7 @@ class ParseError(FedfbnError):
 
 
 class WorkerError(FedfbnError):
-    """A worker process ended without returning the arms it trained."""
+    """A worker process ended without returning the work it took."""
 
 
 class NodeFailure(FedfbnError):

@@ -72,7 +72,6 @@ _PID_PRETRAIN = 3_000_000
 class ScenarioData:
     """Everything an arm needs; all label recoding already applied."""
 
-    all_labels: tuple[str, ...]
     node_labels: list[tuple[str, ...]]
     node_train: list[Dataset]
     node_val: list[Dataset]
@@ -194,7 +193,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     pooled_val = concat_naive(node_val[0], node_val[1])
 
     return ScenarioData(
-        all_labels=names,
         node_labels=node_labels,
         node_train=node_train,
         node_val=node_val,
@@ -219,7 +217,6 @@ def model_hash(model: Model) -> str:
 
 @dataclass
 class ArmResult:
-    arm: str
     reports: dict[tuple[str, str, str], EvalReport] = field(default_factory=dict)
     round_reports: list[RoundReport] = field(default_factory=list)
     best_round: int = -1
@@ -302,7 +299,6 @@ def _execute_arm(
         on_round=on_round,
     )
     return ArmResult(
-        arm=arm,
         round_reports=fed.reports,
         best_round=fed.best_round,
         global_model=fed.best,
@@ -325,17 +321,22 @@ def _round_progress(arm: str, progress):
     return on_round
 
 
-def _train_forked(arms: tuple[str, ...], train, trained: dict, fail, state) -> list:
-    """``train`` the arms here and in forked workers, one process per usable CPU.
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    Each process takes the next arm index from one pipe. A worker pickles back
-    its ``trained`` arms and the ``state()`` of its copy of the shared data, and
-    always ends through ``os._exit``; the arms of a worker that sends back
-    nothing readable fail with a WorkerError. Returns the workers' states.
+
+def _forked(tasks: tuple, run, done: dict, state) -> tuple[list, list[str]]:
+    """``run`` each task here and in forked workers, one process per usable CPU.
+
+    Each process takes the next task index from one pipe; ``run(task)``
+    records its outcome in ``done[task]``. A worker pickles back its part of
+    ``done`` and the ``state()`` of its copy of the shared data, and always
+    ends through ``os._exit``. Returns the workers' states and why any
+    worker sent back nothing readable; its tasks are missing from ``done``.
     """
-    n_workers = min(len(os.sched_getaffinity(0)), len(arms)) - 1
+    n_workers = min(len(os.sched_getaffinity(0)), len(tasks)) - 1
     queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(arms))))
+    os.write(feed, bytes(range(len(tasks))))
     os.close(feed)
     sys.stdout.flush()  # or a worker repeats what is still buffered
     workers, states, lost = [], [], []
@@ -347,18 +348,18 @@ def _train_forked(arms: tuple[str, ...], train, trained: dict, fail, state) -> l
                 code = 1
                 try:
                     os.close(result_r)
-                    trained.clear()
+                    done.clear()
                     while index := os.read(queue, 1):
-                        train(arms[index[0]])
+                        run(tasks[index[0]])
                     with open(result_w, "wb") as fh:
-                        pickle.dump((trained, state()), fh)
+                        pickle.dump((done, state()), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(result_w)
             workers.append((pid, result_r))
         while index := os.read(queue, 1):
-            train(arms[index[0]])
+            run(tasks[index[0]])
     finally:
         os.close(queue)
         for pid, result_r in workers:
@@ -368,14 +369,11 @@ def _train_forked(arms: tuple[str, ...], train, trained: dict, fail, state) -> l
             try:
                 sent, worker_state = pickle.loads(blob)
             except Exception as exc:
-                lost.append(f"worker exited with code {code} ({type(exc).__name__}: {exc})")
+                lost.append(f"worker exited with code {code} ({_error_text(exc)})")
                 continue
-            trained.update(sent)
+            done.update(sent)
             states.append(worker_state)
-    for arm in arms:
-        if arm not in trained:
-            fail(arm, WorkerError("; ".join(lost)))
-    return states
+    return states, lost
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -386,9 +384,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     mutating shared state is an error, not a silent skew. A failing arm is
     recorded and the remaining arms still run. All arms train before any is
     evaluated, so every arm on a (test set, view) shares one set of
-    bootstrap draws. Arms train in parallel on the CPUs this process may
-    use. ``progress`` gets a line per round and one per arm once its status
-    is final.
+    bootstrap draws. The arms, and then the (test set, view) groups, run in
+    parallel on the CPUs this process may use. ``progress`` gets a line per
+    round and one per arm once its status is final.
     """
     data = build_scenario(cfg)
     master = RngStream(cfg.seed)
@@ -441,33 +439,37 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
 
     arms: dict[str, ArmResult] = {}
 
-    def fail(arm: str, exc: Exception) -> None:
-        arms[arm] = ArmResult(arm=arm, error=f"{type(exc).__name__}: {exc}")
+    def fail(arm: str, error: str) -> None:
+        arms[arm] = ArmResult(error=error)
         if progress is not None:
-            progress(f"arm {arm}: {arms[arm].error}")
+            progress(f"arm {arm}: {error}")
 
     def train(arm: str) -> None:
         on_round = None if progress is None else _round_progress(arm, progress)
         try:
             arms[arm] = _execute_arm(arm, cfg, data, node_models, central_model, master, on_round)
         except Exception as exc:
-            fail(arm, exc)
+            fail(arm, _error_text(exc))
 
     # The first arm trains before anything is forked, so the first call into
     # the work is made by this process alone.
     train(cfg.arms[0])
-    worker_states = _train_forked(cfg.arms[1:], train, arms, fail, shared_state)
+    worker_states, lost = _forked(cfg.arms[1:], train, arms, shared_state)
     for arm in cfg.arms:
+        if arm not in arms:
+            fail(arm, _error_text(WorkerError("; ".join(lost))))
         arms[arm] = arms.pop(arm)
+
     # Per (test set, view), score every trained arm and BN variant, then
     # bootstrap them all on one set of eval:<test>:<view> draws. A scoring
     # error fails only its arm; a bootstrap error depends only on the
-    # labels, mask and draws, so it fails every arm in the group.
-    for test_name, view_name in itertools.product(data.test_sets, data.views):
-        ds = data.test_sets[test_name]
-        labels = data.views[view_name]
+    # labels, mask and draws, so it fails every arm in the group. Errors
+    # travel as text: not every exception unpickles.
+    def evaluate(group: tuple[str, str]) -> None:
+        test_name, view_name = group
+        ds, labels = data.test_sets[test_name], data.views[view_name]
         keys: list[tuple[str, str]] = []
-        matrices = []
+        matrices, failures, reports = [], [], []
         for arm, result in arms.items():
             if result.error is not None:
                 continue
@@ -476,32 +478,43 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                 scored = [score_global(result.global_model, ds, labels, node_id)
                           for _, node_id in variants]
             except Exception as exc:
-                fail(arm, exc)
+                failures.append((arm, _error_text(exc)))
                 continue
             keys.extend((arm, variant) for variant, _ in variants)
             matrices.extend(scored)
-        if not keys:
-            continue
-        try:
-            reports = evaluate_global(
-                matrices,
-                ds,
-                labels,
-                rng=master.child(f"eval:{test_name}:{view_name}"),
-                n_bootstrap=cfg.n_bootstrap,
-            )
-        except Exception as exc:
-            for arm in dict.fromkeys(arm for arm, _ in keys):
-                fail(arm, exc)
-            continue
-        for (arm, variant), report in zip(keys, reports):
-            arms[arm].reports[(test_name, view_name, variant)] = report
+        if keys:
+            try:
+                reports = evaluate_global(
+                    matrices,
+                    ds,
+                    labels,
+                    rng=master.child(f"eval:{test_name}:{view_name}"),
+                    n_bootstrap=cfg.n_bootstrap,
+                )
+            except Exception as exc:
+                failures.extend((a, _error_text(exc)) for a in dict.fromkeys(a for a, _ in keys))
+        outcomes[group] = (list(zip(keys, reports)), failures)
+
+    groups = tuple(itertools.product(data.test_sets, data.views))
+    outcomes: dict[tuple[str, str], tuple[list, list]] = {}
+    eval_states, lost = _forked(groups, evaluate, outcomes, shared_state)
+    # In group order, as one process meets them: an arm keeps its first
+    # error and a failed arm keeps no reports. A lost group fails every arm.
+    lost_group = ([], [(arm, _error_text(WorkerError("; ".join(lost)))) for arm in arms])
+    for group in groups:
+        reports, failures = outcomes.get(group, lost_group)
+        for arm, error in failures:
+            if arms[arm].error is None:
+                fail(arm, error)
+        for (arm, variant), report in reports:
+            if arms[arm].error is None:
+                arms[arm].reports[(*group, variant)] = report
     if progress is not None:
         for arm, result in arms.items():
             if result.error is None:
                 progress(f"arm {arm}: ok")
 
-    for datasets, models in [shared_state(), *worker_states]:
+    for datasets, models in [shared_state(), *worker_states, *eval_states]:
         if datasets != dataset_hashes:
             raise ProtocolError("an arm mutated the shared datasets")
         if models != start_hashes:

@@ -352,7 +352,6 @@ class RoundReport:
 @dataclass
 class FederationResult:
     best: GlobalModel
-    final: GlobalModel
     best_round: int
     reports: list[RoundReport] = field(default_factory=list)
 
@@ -393,7 +392,6 @@ def run_federation(
     best_loss = float("inf")
     best_round = -1
     reports: list[RoundReport] = []
-    latest: GlobalModel | None = None
 
     for r in range(rounds):
         train_losses: dict[int, float] = {}
@@ -433,8 +431,8 @@ def run_federation(
         if on_round is not None:
             on_round(report)
 
-    assert best is not None and latest is not None
-    return FederationResult(best=best, final=latest, best_round=best_round, reports=reports)
+    assert best is not None
+    return FederationResult(best=best, best_round=best_round, reports=reports)
 
 
 def score_global(gm: GlobalModel, ds, labels, node_id: int | None = None) -> Tensor:

@@ -244,7 +244,6 @@ def bootstrap_ci(
 class ComparisonResult:
     """Paired two-tailed t-test outcome."""
 
-    t_statistic: float
     p_value: float
     significant: bool
 
@@ -266,11 +265,7 @@ def paired_ttest(a, b) -> ComparisonResult:
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
     if sd == 0.0:
-        if mean == 0.0:
-            t, p = 0.0, 1.0
-        else:
-            t, p = math.copysign(math.inf, mean), 0.0
+        p = 1.0 if mean == 0.0 else 0.0
     else:
-        t = mean / (sd / math.sqrt(n))
-        p = student_t_two_tailed(t, n - 1)
-    return ComparisonResult(t_statistic=t, p_value=p, significant=p < SIGNIFICANCE_LEVEL)
+        p = student_t_two_tailed(mean / (sd / math.sqrt(n)), n - 1)
+    return ComparisonResult(p_value=p, significant=p < SIGNIFICANCE_LEVEL)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import fedfbn.cli
 from fedfbn.cli import main
 
 TINY = """\
@@ -205,6 +206,47 @@ def test_bad_config_exits_nonzero_with_error_line(tmp_path, capsys, raw, fragmen
     payload = json.loads(lines[0][len("ERROR "):])
     assert payload["error"] == "ConfigError"
     assert fragment in payload["message"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**26)])
+def test_seed_override_outside_64_bits_is_one_error_line(tiny_config, tmp_path, capsys, seed):
+    out = tmp_path / "never"
+    code = main(["run", "--config", str(tiny_config), "--out", str(out), "--seed", seed])
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    payload = json.loads(lines[0][len("ERROR "):])
+    assert payload["error"] == "ConfigError"
+    assert "seed must lie in [0, 2**64)" in payload["message"]
+    assert not out.exists()
+
+
+def test_largest_64_bit_seed_override_runs(tiny_config, tmp_path):
+    out = tmp_path / "max_seed"
+    seed = 2**64 - 1
+    code = main(["run", "--config", str(tiny_config), "--out", str(out),
+                 "--seed", str(seed), "--arms", "fedavg"])
+    assert code == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
+@pytest.mark.parametrize("exc, message", [
+    (MemoryError("Unable to allocate 8.00 EiB for an array"),
+     "Unable to allocate 8.00 EiB for an array"),
+    (MemoryError(), "out of memory"),
+])
+def test_memory_error_is_one_error_line(tiny_config, capsys, monkeypatch, exc, message):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(fedfbn.cli, "run_experiment", exhausted)
+    code = main(["run", "--config", str(tiny_config)])
+    assert code == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    assert json.loads(lines[0][len("ERROR "):]) == {"error": "MemoryError", "message": message}
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_missing_config_exits_nonzero(tmp_path, capsys):

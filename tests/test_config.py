@@ -135,6 +135,17 @@ def test_validation_rules():
             ExperimentConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**26])
+def test_seed_outside_64_bits_is_refused(seed):
+    # the random streams key on 64 bits, so a wider seed would replay another
+    with pytest.raises(ConfigError, match=r"seed must lie in \[0, 2\*\*64\)"):
+        parse_config(f"[experiment]\nseed = {seed}\n")
+
+
+def test_largest_64_bit_seed_is_accepted():
+    assert parse_config(f"[experiment]\nseed = {2**64 - 1}\n").seed == 2**64 - 1
+
+
 def test_digest_tracks_text_not_meaning():
     a = "[experiment]\nseed = 1\n"
     b = "[experiment]\nseed = 1\n"

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import select
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import fedfbn.experiments as experiments
 from fedfbn.config import ExperimentConfig, parse_config
-from fedfbn.errors import LabelError, ParseError, ProtocolError
+from fedfbn.errors import LabelError, NodeFailure, ParseError, ProtocolError
 from fedfbn.experiments import (
     ArmResult,
     build_scenario,
@@ -53,30 +54,32 @@ def force_cpus(monkeypatch, n):
 
 @pytest.fixture
 def in_workers(monkeypatch):
-    """Force two CPUs and call ``hook(arm, *args)`` before each arm a worker trains.
+    """Force two CPUs and call ``hook(*args)`` before each ``target(*args)`` of a worker.
 
-    The parent holds its second arm until a worker has taken one, so with
-    two or more arms after the first a worker surely trains one.
+    The parent holds its second call of ``target`` until a worker has made
+    one. So a worker surely trains an arm when two or more arms follow the
+    first (``_execute_arm``), and surely scores a group when there are two
+    groups and a group scores two models (``score_global``).
     """
     taken_r, taken_w = os.pipe()
-    parent, real = os.getpid(), experiments._execute_arm
+    parent = os.getpid()
 
-    def install(hook):
+    def install(hook, target="_execute_arm"):
         force_cpus(monkeypatch, 2)
-        in_parent = []
+        real, in_parent = getattr(experiments, target), []
 
-        def execute(arm, *args):
+        def call(*args):
             if os.getpid() != parent:
                 os.write(taken_w, b"x")
-                hook(arm, *args)
+                hook(*args)
             else:
-                in_parent.append(arm)
+                in_parent.append(args)
                 if len(in_parent) == 2:
-                    assert select.select([taken_r], [], [], 60)[0], "no worker took an arm"
+                    assert select.select([taken_r], [], [], 60)[0], f"no worker called {target}"
                     os.read(taken_r, 1)
-            return real(arm, *args)
+            return real(*args)
 
-        monkeypatch.setattr(experiments, "_execute_arm", execute)
+        monkeypatch.setattr(experiments, target, call)
 
     yield install
     os.close(taken_r)
@@ -85,12 +88,13 @@ def in_workers(monkeypatch):
 
 def test_iid_complete_topology():
     data = build_scenario(tiny_cfg())
-    assert data.node_labels == [data.all_labels, data.all_labels]
+    all_labels = data.test_sets["external"].label_names  # test sets keep every label
+    assert data.node_labels == [all_labels, all_labels]
     assert set(data.views) == {"all"}
-    assert data.views["all"] == data.all_labels
+    assert data.views["all"] == all_labels
     assert list(data.test_sets) == ["internal", "external"]
     # the pretraining task uses its own label vocabulary
-    assert not set(data.source_labels) & set(data.all_labels)
+    assert not set(data.source_labels) & set(all_labels)
     assert len(data.source_labels) == 6
 
 
@@ -102,8 +106,9 @@ def test_partial_topology_is_11_7_with_4_shared():
     assert len(node0) == 11 and len(node1) == 7
     shared = set(node0) & set(node1)
     assert len(shared) == 4
-    assert set(node0) | set(node1) == set(data.all_labels)
-    assert len(data.all_labels) == 14
+    all_labels = data.test_sets["external"].label_names  # test sets keep every label
+    assert set(node0) | set(node1) == set(all_labels)
+    assert len(all_labels) == 14
     assert set(data.views) == {"all", "shared", "node0", "node1"}
     assert set(data.views["shared"]) == shared
     assert data.views["node0"] == node0
@@ -247,15 +252,18 @@ def test_tiny_run_results_are_pinned(scenario, tmp_path, monkeypatch):
     } == pinned
 
 
-def test_run_dir_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
-    text = TINY_RUN_INI.format(scenario="iid_complete")
+@pytest.mark.parametrize("scenario, n_files", [("iid_complete", 35), ("non_iid_partial", 97)],
+                         ids=["iid_complete", "non_iid_partial"])
+def test_run_dir_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, scenario, n_files):
+    # iid_complete evaluates 2 (test set, view) groups, non_iid_partial 12
+    text = TINY_RUN_INI.format(scenario=scenario)
     runs = []
     for cpus in (1, 2, 4):  # no worker, one worker, three workers
         force_cpus(monkeypatch, cpus)
         out = tmp_path / str(cpus)
         files = emit_reports(run_experiment(parse_config(text)), out, text)
         runs.append({name: (out / name).read_bytes() for name in files})
-    assert len(runs[0]) == 35
+    assert len(runs[0]) == n_files
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -443,8 +451,13 @@ def test_scoring_failure_fails_only_its_arm(tmp_path, monkeypatch):
         return tiny_cfg(arms=arms, scenario="non_iid_partial", n_labels=14)
 
     emit_reports(run_experiment(scenario(("fedfbn", "fedbn"))), tmp_path / "without", "")
-    real_execute, real_score = experiments._execute_arm, experiments.score_global
-    scored = []
+    real_build, real_execute = experiments.build_scenario, experiments._execute_arm
+    real_score = experiments.score_global
+    built = []
+
+    def build(cfg):
+        built.append(real_build(cfg))
+        return built[-1]
 
     def execute(arm, *args):
         result = real_execute(arm, *args)
@@ -452,14 +465,17 @@ def test_scoring_failure_fails_only_its_arm(tmp_path, monkeypatch):
             result.global_model.doomed = True
         return result
 
-    def score(gm, *args, **kwargs):
-        if getattr(gm, "doomed", False):
-            scored.append(gm)
-            if len(scored) == 3:  # after it was scored on two (test set, view)s
-                raise LabelError("synthetic scoring failure")
-        return real_score(gm, *args, **kwargs)
+    def score(gm, ds, labels, *rest):
+        # one named group, whichever process evaluates it; six groups come
+        # before it, so fedavg has reports of other groups to lose
+        data = built[-1]
+        if (getattr(gm, "doomed", False) and ds is data.test_sets["internal_node1"]
+                and labels == data.views["node0"]):
+            raise LabelError("synthetic scoring failure")
+        return real_score(gm, ds, labels, *rest)
 
     force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "build_scenario", build)
     monkeypatch.setattr(experiments, "_execute_arm", execute)
     monkeypatch.setattr(experiments, "score_global", score)
     progress = []
@@ -540,6 +556,73 @@ def test_dead_worker_fails_only_the_arm_it_took(tmp_path, in_workers):
         assert (tmp_path / "dead" / name).read_bytes() == (tmp_path / "alive" / name).read_bytes()
     with pytest.raises(ChildProcessError):  # every worker was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_dead_eval_worker_fails_every_arm_still_ok(tmp_path, monkeypatch, in_workers):
+    real = experiments._execute_arm
+
+    def flaky(arm, *args):
+        if arm == "fedavg":
+            raise RuntimeError("synthetic failure")
+        return real(arm, *args)
+
+    monkeypatch.setattr(experiments, "_execute_arm", flaky)
+    in_workers(lambda *args: os._exit(3), target="score_global")
+    progress = []
+    result = run_experiment(tiny_cfg(), progress.append)
+    errors = {arm: r.error for arm, r in result.arms.items()}
+    assert errors.pop("fedavg") == "RuntimeError: synthetic failure"  # its first error
+    assert list(errors) == ["fedfbn", "centralized"]
+    for error in errors.values():
+        assert error.startswith("WorkerError: worker exited with code 3 (EOFError"), error
+    assert all(r.reports == {} for r in result.arms.values())
+    assert [line for line in progress if " round " not in line] == [
+        "arm fedavg: RuntimeError: synthetic failure",
+        *(f"arm {arm}: {error}" for arm, error in errors.items()),
+    ]
+    emit_reports(result, tmp_path, "")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["arm_errors"] == {"fedavg": "RuntimeError: synthetic failure", **errors}
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("what, match", [("data", "shared datasets"),
+                                         ("models", "warmed models")])
+def test_eval_worker_mutating_its_copy_is_a_protocol_error(monkeypatch, in_workers, what, match):
+    real_with_heads, warmed = experiments.with_heads, []
+
+    def with_heads(*args):
+        warmed.append(real_with_heads(*args))
+        return warmed[-1]
+
+    def spoil(gm, ds, *rest):
+        if what == "data":
+            ds.features[0, 0] += 1.0
+        else:
+            warmed[0].params["dense0/weight"][0, 0] += 1.0
+
+    monkeypatch.setattr(experiments, "with_heads", with_heads)
+    in_workers(spoil, target="score_global")
+    with pytest.raises(ProtocolError, match=match):
+        run_experiment(tiny_cfg())
+
+
+def test_error_that_does_not_unpickle_is_sent_as_text(in_workers):
+    exc = NodeFailure(0, 1, RuntimeError("synthetic"))
+    with pytest.raises(TypeError):  # its __init__ takes three arguments, not the message
+        pickle.loads(pickle.dumps(exc))
+
+    def fail(*args):
+        raise exc
+
+    in_workers(fail, target="score_global")
+    result = run_experiment(tiny_cfg())
+    # the worker's group fails every arm by the error's text; no worker was lost
+    assert {arm: r.error for arm, r in result.arms.items()} == {
+        arm: "NodeFailure: node 0 failed in round 1: RuntimeError('synthetic')"
+        for arm in tiny_cfg().arms
+    }
 
 
 def test_full_run_replays_byte_identically(tmp_path):

@@ -379,7 +379,7 @@ def test_single_node_federation_equals_local_training():
         epochs=1, lr_by_block={"representation": 0.05, "heads": 0.05},
         policy=BnPolicy.NORMAL, batch_size=8, rng=mirror_rng,
     )
-    got = fed.final.materialize(("a", "b")).params
+    got = fed.best.materialize(("a", "b")).params  # one round: the best is the last
     want = mirror.params
     assert list(got) == list(want)
     assert all(np.array_equal(got[k], want[k]) for k in want)
@@ -390,7 +390,7 @@ def test_identical_nodes_under_fedavg_keep_their_model():
     n1 = make_node(1, ("a", "b"), seed=41)
     n1.rng = RngStream(41 + 200)  # same draws as node 0
     fed = run_federation([n0, n1], Strategy.FEDAVG, rounds=1)
-    got = fed.final.materialize(("a", "b")).params
+    got = fed.best.materialize(("a", "b")).params  # one round: the best is the last
     want = n0.model.params
     assert all(np.array_equal(got[k], want[k]) for k in want)
 
@@ -434,14 +434,14 @@ def test_fedbn_separates_bn_after_aggregation():
     n0 = make_node(0, ("a", "b"), seed=71, shift=1.5)
     n1 = make_node(1, ("a", "b"), seed=72, shift=-1.5)
     fed = run_federation([n0, n1], Strategy.FEDBN, rounds=2)
-    m0 = fed.final.materialize(("a", "b"), node_id=0).params
-    m1 = fed.final.materialize(("a", "b"), node_id=1).params
+    # each node's model is the last global model, materialized for that node
+    m0, m1 = n0.model.params, n1.model.params
     assert not np.array_equal(m0["bn0/running_mean"], m1["bn0/running_mean"])
     for key in m0:
         if not key.startswith("bn"):
             assert np.array_equal(m0[key], m1[key]), key
     with pytest.raises(ProtocolError):
-        fed.final.materialize(("a",))
+        fed.best.materialize(("a",))
 
 
 def test_node_failure_names_node_and_round():

@@ -1,10 +1,12 @@
-"""Every function, class and method in the package has a caller in the package.
+"""Every function, class, method and dataclass field in the package is used there.
 
 Code that only tests call still has to be read, kept working and kept in
 step with the rest, yet no run depends on it. A definition counts as used
 when its name appears in ``src/fedfbn`` outside its own body, as a name or
 an attribute. Dunders are called by Python itself and names in
-``__init__.__all__`` are the public API, so both are exempt.
+``__init__.__all__`` are the public API, so both are exempt. A dataclass
+field counts as used when ``src/fedfbn`` reads it as an attribute; setting
+it in a constructor call is not a read.
 """
 
 import ast
@@ -68,3 +70,34 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_has_a_caller_in_the_package():
     assert sorted(unused_definitions()) == sorted(ALLOWED)
+
+
+def is_dataclass(node) -> bool:
+    """``@dataclass``, ``@dataclass(...)`` or ``@dataclasses.dataclass...``."""
+    targets = (dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list)
+    return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets)
+
+
+def unread_fields() -> list[str]:
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{node.name}.{item.target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and item.target.id not in read
+    ]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    assert unread_fields() == []
