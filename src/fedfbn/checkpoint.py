@@ -23,11 +23,11 @@ import numpy as np
 
 from .errors import ConfigError, ParseError
 from .federation import GlobalModel, Strategy
-from .network import HEAD_PREFIX, ModelSpec, key_kind, param_shapes, per_label_params
+from .network import ModelSpec, key_kind, param_shapes
 from .numerics import Tensor
 
 MAGIC = b"FBNCKPT1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @contextlib.contextmanager
@@ -148,32 +148,28 @@ def spec_from_meta(meta: dict) -> ModelSpec:
         raise ParseError(f"invalid model spec metadata: {exc}") from None
 
 
-def _layout(spec: ModelSpec, bn_nodes, view) -> dict[str, tuple[int | None, str]]:
+def _layout(spec: ModelSpec, bn_nodes) -> dict[str, tuple[int | None, str]]:
     """Global-checkpoint key -> (node id or None for shared, parameter key).
 
-    In file order: the shared trunk as ``rep/<key>``, FEDBN's per-node batch
-    norm as ``node_bn/<node id>/<key>``, then each head of the per-label
-    ``view`` (see ``per_label_params``) as ``head/<label>/<name>``.
+    In file order: the shared parameters under their own keys (see
+    ``param_shapes``), then FEDBN's per-node batch norm as
+    ``node_bn/<node id>/<key>``.
     """
     kinds = {key: key_kind(key) for key in param_shapes(spec)}
-    shared = {"dense"} if bn_nodes is not None else {"dense", "bn"}
-    layout = {f"rep/{k}": (None, k) for k, kind in kinds.items() if kind in shared}
+    layout = {k: (None, k) for k, kind in kinds.items() if bn_nodes is None or kind != "bn"}
     for node_id in bn_nodes or ():
         layout.update(
             {f"node_bn/{node_id}/{k}": (node_id, k) for k, kind in kinds.items() if kind == "bn"}
         )
-    head = len(HEAD_PREFIX)
-    layout.update({f"head/{k[head:]}": (None, k) for k in view if k.startswith(HEAD_PREFIX)})
     return layout
 
 
 def save_global(gm: GlobalModel, path) -> None:
     """Checkpoint a global model (kind "global"), bit-exact round-trip."""
     bn_nodes = sorted(gm.per_node_bn) if gm.per_node_bn is not None else None
-    view = per_label_params(gm.params, gm.label_names)
     tensors = {
-        disk_key: (view if node_id is None else gm.per_node_bn[node_id])[key]
-        for disk_key, (node_id, key) in _layout(gm.spec, bn_nodes, view).items()
+        disk_key: (gm.params if node_id is None else gm.per_node_bn[node_id])[key]
+        for disk_key, (node_id, key) in _layout(gm.spec, bn_nodes).items()
     }
     meta = {
         "spec": asdict(gm.spec),
@@ -209,36 +205,21 @@ def load_global(path) -> GlobalModel:
     if bn_nodes != (sorted(map(int, node_labels)) if strategy is Strategy.FEDBN else None):
         raise ParseError(f"{path}: meta.bn_nodes does not fit strategy {strategy.value}")
 
-    # zero-stride stand-ins give every per-label shape without allocating it
     shapes = param_shapes(spec)
-    try:
-        expected = per_label_params(
-            {k: np.broadcast_to(0.0, s) for k, s in shapes.items()}, spec.label_names
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: model spec shapes out of range: {exc}") from None
-    layout = _layout(spec, bn_nodes, expected)
+    layout = _layout(spec, bn_nodes)
     missing = [k for k in layout if k not in tensors]
     unexpected = sorted(k for k in tensors if k not in layout)
     if missing or unexpected:
         raise ParseError(f"{path}: missing tensors {missing}, unexpected tensors {unexpected}")
-    for disk_key, (_, key) in layout.items():
-        if tensors[disk_key].shape != expected[key].shape:
+    params: dict[str, Tensor] = {}
+    per_node_bn = None if bn_nodes is None else {i: {} for i in bn_nodes}
+    for disk_key, (node_id, key) in layout.items():
+        if tensors[disk_key].shape != shapes[key]:
             raise ParseError(
                 f"{path}: tensor '{disk_key}' has shape {tensors[disk_key].shape}, "
-                f"the spec needs {expected[key].shape}"
+                f"the spec needs {shapes[key]}"
             )
-
-    # every shape now fits a tensor of the file, so these allocations do too
-    per_node_bn = None if bn_nodes is None else {i: {} for i in bn_nodes}
-    kept = ("dense", "head") if bn_nodes is not None else ("dense", "bn", "head")
-    params = {k: np.empty(s) for k, s in shapes.items() if key_kind(k) in kept}
-    view = per_label_params(params, spec.label_names)
-    for disk_key, (node_id, key) in layout.items():
-        if node_id is None:
-            view[key][...] = tensors[disk_key]
-        else:
-            per_node_bn[node_id][key] = tensors[disk_key]
+        (params if node_id is None else per_node_bn[node_id])[key] = tensors[disk_key]
     return GlobalModel(
         spec=spec,
         params=params,

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .network import ModelSpec
 
 SCENARIOS = (
     "iid_complete",
@@ -126,6 +127,11 @@ class ExperimentConfig:
                               "n_labels must be >= 7")
         if self.scenario.startswith("non_iid") and self.shift_magnitude == 0:
             raise ConfigError("non-iid scenarios need a nonzero shift_magnitude")
+        self.model_spec()  # the [model] settings must make a network
+
+    def model_spec(self) -> ModelSpec:
+        """The network these settings describe, before any head is attached."""
+        return ModelSpec(self.feature_dim, self.hidden_dims, (), self.bn_momentum, self.bn_eps)
 
 
 def node_learning_rates(cfg: "ExperimentConfig") -> tuple[float, float]:

@@ -55,8 +55,7 @@ from .federation import (
     score_global,
 )
 from .metrics import EvalReport, paired_ttest
-from .network import (Model, ModelSpec, per_label_params, pretrain_backbone, warmup_heads,
-                      with_heads)
+from .network import Model, pretrain_backbone, warmup_heads, with_heads
 from .numerics import RngStream
 
 REPORT_PREFIX = "report_"
@@ -206,9 +205,9 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
 
 
 def model_hash(model: Model) -> str:
-    """sha256 over the per-label keys, shapes and bytes of the parameters."""
+    """sha256 over the keys, shapes and bytes of the parameters."""
     h = hashlib.sha256()
-    for key, tensor in per_label_params(model.params, model.spec.label_names).items():
+    for key, tensor in model.params.items():
         h.update(key.encode("utf-8"))
         h.update(str(tensor.shape).encode())
         h.update(tensor.tobytes())
@@ -390,15 +389,8 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     """
     data = build_scenario(cfg)
     master = RngStream(cfg.seed)
-    spec = ModelSpec(
-        input_dim=cfg.feature_dim,
-        hidden_dims=cfg.hidden_dims,
-        label_names=(),
-        bn_momentum=cfg.bn_momentum,
-        bn_eps=cfg.bn_eps,
-    )
     backbone = pretrain_backbone(
-        spec,
+        cfg.model_spec(),
         data.pretrain.features,
         data.pretrain.labels,
         data.pretrain.mask,

@@ -15,7 +15,8 @@ server combines bundles into a global model:
 Heads are merged surgically: the global label set is the union, a head
 owned by one node is copied, and a head shared by several nodes is
 averaged over its owners (bit-identical owners short-circuit to a copy).
-This is done row by row on the packed head tensors, one row per label.
+This is done on the packed head tensors, one row per label, in one block
+of rows for each set of owners.
 All reductions accumulate in ascending node id so results are a pure
 function of the inputs, not of scheduling.
 """
@@ -158,18 +159,23 @@ def _frozen(key: str, bundles: list[ParameterBundle], weights: dict[int, float])
     return reference.copy()
 
 
-def _owner_mean(rows: list[Tensor], weights: list[float]) -> Tensor:
-    """Mean of one label's head rows over its owners, weights renormalized to
-    sum to one.
+def _owner_mean(blocks: list[Tensor], weights: list[float]) -> Tensor:
+    """Mean of a block of head rows over their owners, weights renormalized
+    to sum to one.
 
-    Bit-identical owners short-circuit to a copy, so agreeing nodes cannot
-    drift through arithmetic.
+    A row on which all owners agree bit for bit is copied, so agreeing nodes
+    cannot drift through arithmetic. The mean is elementwise, so a block
+    gives the same bits as one row at a time.
     """
-    first = rows[0]
-    if all(_tensors_equal(row, first) for row in rows[1:]):
-        return first.copy()
+    first = blocks[0]
+    if len(blocks) == 1:
+        return first
     wsum = sum(weights)
-    return _weighted_sum(rows, [w / wsum for w in weights])
+    merged = _weighted_sum(blocks, [w / wsum for w in weights])
+    bits = [block.reshape(len(first), -1).view(np.uint64) for block in blocks]
+    agree = np.all([(b == bits[0]).all(axis=1) for b in bits[1:]], axis=0)
+    merged[agree] = first[agree]
+    return merged
 
 
 # What the server does with each trunk tensor kind under each strategy;
@@ -237,18 +243,23 @@ def merge_heads(
 ) -> tuple[dict[str, Tensor], tuple[str, ...]]:
     """Union the label sets and merge each label's head rows over its owners.
 
+    The labels that share one owner set are merged as one block of rows.
     Returns the merged ``heads/weight`` and ``heads/bias`` (rows in union
     order) and the union, labels in order of first appearance.
     """
     union = tuple(dict.fromkeys(label for b in bundles for label in b.head_labels))
-    merged: dict[str, Tensor] = {}
-    for key in (HEAD_WEIGHT, HEAD_BIAS):
-        rows = []
-        for label in union:
-            owners = [b for b in bundles if label in b.head_labels]
-            rows.append(_owner_mean([b.entries[key][b.head_labels.index(label)] for b in owners],
-                                    [weights[b.node_id] for b in owners]))
-        merged[key] = np.array(rows).reshape(len(union), *bundles[0].entries[key].shape[1:])
+    blocks: dict[tuple[int, ...], list[int]] = {}  # owner positions -> union rows
+    for j, label in enumerate(union):
+        owners = tuple(i for i, b in enumerate(bundles) if label in b.head_labels)
+        blocks.setdefault(owners, []).append(j)
+    merged = {key: np.empty((len(union), *bundles[0].entries[key].shape[1:]))
+              for key in (HEAD_WEIGHT, HEAD_BIAS)}
+    for owners, rows in blocks.items():
+        owned = [(bundles[i], [bundles[i].head_labels.index(union[j]) for j in rows])
+                 for i in owners]
+        for key, value in merged.items():
+            value[rows] = _owner_mean([b.entries[key][own] for b, own in owned],
+                                      [weights[b.node_id] for b, _ in owned])
     return merged, union
 
 

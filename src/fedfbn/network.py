@@ -34,8 +34,6 @@ HEADS = "heads"
 
 HEAD_WEIGHT = f"{HEADS}/weight"
 HEAD_BIAS = f"{HEADS}/bias"
-# per-label head keys of model hashes and checkpoint files
-HEAD_PREFIX = "head:"
 
 
 class BnPolicy(str, Enum):
@@ -103,25 +101,13 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def per_label_params(params: dict[str, Tensor], labels) -> dict[str, Tensor]:
-    """``params`` keyed as model hashes and checkpoint files key them: the
-    trunk, then per label ``head:<label>/weight`` ``(width, 1)`` and
-    ``head:<label>/bias`` ``(1,)``, views of the packed rows (writes go
-    through)."""
-    view = {key: value for key, value in params.items() if key_kind(key) != "head"}
-    for j, label in enumerate(labels):
-        view[f"{HEAD_PREFIX}{label}/weight"] = params[HEAD_WEIGHT][j, :, None]
-        view[f"{HEAD_PREFIX}{label}/bias"] = params[HEAD_BIAS][j : j + 1]
-    return view
-
-
 def _init_tensor(rng: RngStream, key: str, shape: tuple[int, ...], labels) -> Tensor:
     """He-uniform weights from a stream keyed by the layer, each head row
     from its label's; zero biases; BN identity."""
     layer, name = key.rsplit("/", 1)
     if key == HEAD_WEIGHT:
         bound = math.sqrt(2.0 / shape[1])
-        streams = [rng.child(f"init:{HEAD_PREFIX}{label}") for label in labels]
+        streams = [rng.child(f"init:head:{label}") for label in labels]
         return np.array([s.uniform(-bound, bound, shape[1]) for s in streams]).reshape(shape)
     if name == "weight":
         bound = math.sqrt(2.0 / shape[0])

@@ -41,13 +41,13 @@ from fedfbn.network import (
     backward,
     evaluate_loss,
     init_model,
-    per_label_params,
     pretrain_backbone,
     warmup_heads,
     with_heads,
 )
 from fedfbn.numerics import RngStream
 from fedfbn.special import student_t_two_tailed
+from per_label import per_label_params
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 50

@@ -185,14 +185,15 @@ def test_malformed_header_is_a_parse_error(tmp_path, damage):
         load_global(path)
 
 
-def test_version_and_leftover_tensor_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_version_and_leftover_tensor_rejected(tmp_path, version):
     path, raw = saved_global(tmp_path)
     header, payload = split_archive(raw)
 
-    bumped = tmp_path / "v99.ckpt"
-    bumped.write_bytes(join_archive(dict(header, format_version=99), payload))
-    with pytest.raises(ParseError, match="format_version"):
-        read_archive(bumped)
+    other = tmp_path / f"v{version}.ckpt"
+    other.write_bytes(join_archive(dict(header, format_version=version), payload))
+    with pytest.raises(ParseError, match=f"format_version {version}$"):
+        read_archive(other)
 
     kind, meta, tensors = read_archive(path)
     tensors["unrelated/thing"] = np.zeros(1)
@@ -200,6 +201,20 @@ def test_version_and_leftover_tensor_rejected(tmp_path):
     write_archive(stray, kind, meta, tensors)
     with pytest.raises(ParseError, match="unexpected"):
         load_global(stray)
+
+
+def test_per_label_head_keys_are_unexpected(tmp_path):
+    # format version 1 stored each head as head/<label>/weight|bias
+    path, _ = saved_global(tmp_path)
+    kind, meta, tensors = read_archive(path)
+    weight, bias = tensors.pop("heads/weight"), tensors.pop("heads/bias")
+    for j, label in enumerate(("a", "b")):
+        tensors[f"head/{label}/weight"] = weight[j, :, None]
+        tensors[f"head/{label}/bias"] = bias[j : j + 1]
+    write_archive(path, kind, meta, tensors)
+    with pytest.raises(ParseError, match=r"unexpected tensors \['head/a/bias'") as err:
+        load_global(path)
+    assert "missing tensors ['heads/weight', 'heads/bias']" in str(err.value)
 
 
 def test_missing_tensor_named(tmp_path):
@@ -214,14 +229,14 @@ def test_missing_tensor_named(tmp_path):
 def test_shape_validation(tmp_path):
     path, _ = saved_global(tmp_path, Strategy.FEDAVG)
     kind, meta, tensors = read_archive(path)
-    tensors["head/a/weight"] = np.zeros((5, 1))
+    tensors["heads/weight"] = np.zeros((5, 1))
     write_archive(path, kind, meta, tensors)
-    with pytest.raises(ParseError, match="head/a/weight"):
+    with pytest.raises(ParseError, match="heads/weight"):
         load_global(path)
 
     # same element count, transposed shape
     kind, meta, tensors = read_archive(saved_global(tmp_path, Strategy.FEDAVG)[0])
-    tensors["rep/dense0/weight"] = tensors["rep/dense0/weight"].T.copy()
+    tensors["dense0/weight"] = tensors["dense0/weight"].T.copy()
     write_archive(path, kind, meta, tensors)
-    with pytest.raises(ParseError, match="rep/dense0/weight"):
+    with pytest.raises(ParseError, match="dense0/weight"):
         load_global(path)

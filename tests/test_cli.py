@@ -85,6 +85,29 @@ def test_run_replays_byte_identically(tiny_config, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
 
+def test_run_replays_byte_identically_with_one_blas_thread(tiny_config, tmp_path):
+    # one child process at a time: OPENBLAS_NUM_THREADS=1, then unset
+    src = os.path.dirname(os.path.dirname(fedfbn.cli.__file__))
+    outs = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads_{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fedfbn.cli", "run", "--config", str(tiny_config),
+             "--out", str(out)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_gen_data_writes_csvs_and_index(tiny_config, tmp_path):
     out = tmp_path / "data_out"
     code = main(["gen-data", "--config", str(tiny_config), "--out", str(out)])
@@ -94,6 +117,28 @@ def test_gen_data_writes_csvs_and_index(tiny_config, tmp_path):
     index = json.loads((out / "datasets.json").read_text())
     # every file was moved into place: no temporary file is left behind
     assert names == {e["file"] for e in index["datasets"].values()} | {"datasets.json"}
+
+
+@pytest.mark.parametrize(
+    "line, fragment",
+    [
+        ("bn_momentum = 5", "bn_momentum must lie in (0, 1)"),
+        ("hidden_dims = 0, 4", "hidden_dims entries must be positive"),
+        ("bn_eps = 0", "bn_eps must be positive"),
+    ],
+    ids=["bn_momentum", "hidden_dims", "bn_eps"],
+)
+def test_gen_data_refuses_model_settings_run_refuses(tmp_path, capsys, line, fragment):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(TINY.replace("hidden_dims = 8, 4", line), encoding="utf-8")
+    out = tmp_path / "data_out"
+    assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    assert json.loads(lines[0][len("ERROR "):]) == {"error": "ConfigError", "message": fragment}
+    assert "wrote" not in captured.out
+    assert not out.exists()
 
 
 def test_report_rerenders_in_place(tiny_config, tmp_path):

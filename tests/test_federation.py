@@ -33,12 +33,12 @@ from fedfbn.network import (
     BnPolicy,
     ModelSpec,
     init_model,
-    per_label_params,
     train_epochs,
     warmup_heads,
     with_heads,
 )
 from fedfbn.numerics import RngStream
+from per_label import per_label_params
 
 SPEC = ModelSpec(4, (5, 3), ())
 

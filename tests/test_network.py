@@ -17,7 +17,6 @@ from fedfbn.network import (
     evaluate_loss,
     init_model,
     masked_bce,
-    per_label_params,
     predict,
     pretrain_backbone,
     sgd_step,
@@ -27,6 +26,7 @@ from fedfbn.network import (
 )
 from fedfbn.network import sigmoid as logistic
 from fedfbn.numerics import RngStream
+from per_label import per_label_params
 
 
 def tiny_spec(hidden=(4, 3), labels=("a", "b"), input_dim=3):

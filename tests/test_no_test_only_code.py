@@ -1,12 +1,14 @@
-"""Every function, class, method and dataclass field in the package is used there.
+"""Every function, class, method, dataclass field and module-level constant
+in the package is used there.
 
 Code that only tests call still has to be read, kept working and kept in
 step with the rest, yet no run depends on it. A definition counts as used
 when its name appears in ``src/fedfbn`` outside its own body, as a name or
-an attribute. Dunders are called by Python itself and names in
-``__init__.__all__`` are the public API, so both are exempt. A dataclass
-field counts as used when ``src/fedfbn`` reads it as an attribute; setting
-it in a constructor call is not a read.
+an attribute. Dunders (``__all__`` among them) are read by Python itself and
+names in ``__init__.__all__`` are the public API, so both are exempt. A
+dataclass field counts as used when ``src/fedfbn`` reads it as an attribute;
+setting it in a constructor call is not a read. A module-level constant
+counts as used when its name appears outside its own assignment.
 """
 
 import ast
@@ -30,15 +32,30 @@ def names_used(tree) -> Counter:
     )
 
 
+def assigned_names(node) -> list[str]:
+    """The plain names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+    ]
+
+
 def definitions(module: str, tree):
-    """(qualified name, node) of each module-level def and class, and each method."""
+    """(qualified name, name, node) of each module-level def, class and
+    constant, and each method; a constant's node is its assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for name in assigned_names(node):
+                yield f"{module}.{name}", name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
 def public_api() -> set[str]:
@@ -58,12 +75,12 @@ def unused_definitions() -> list[str]:
     exempt = public_api()
     unused = []
     for module, tree in trees.items():
-        for qualname, node in definitions(module, tree):
-            if node.name.startswith("__") and node.name.endswith("__"):
+        for qualname, name, node in definitions(module, tree):
+            if name.startswith("__") and name.endswith("__"):
                 continue
-            if node.name in exempt:
+            if name in exempt:
                 continue
-            if used[node.name] - names_used(node)[node.name] < 1:
+            if used[name] - names_used(node)[name] < 1:
                 unused.append(qualname)
     return unused
 
