@@ -102,11 +102,13 @@ def test_global_keeps_on_disk_key_layout(tmp_path):
     _, meta, tensors = read_archive(path)
     assert meta["bn_nodes"] == [0, 1]
     assert list(tensors) == [
-        "rep/dense0/weight", "rep/dense0/bias", "rep/dense1/weight", "rep/dense1/bias",
+        "dense0/weight", "dense0/bias", "dense1/weight", "dense1/bias",
+        "heads/weight", "heads/bias",
         *[f"node_bn/{n}/bn{i}/{t}" for n in (0, 1) for i in (0, 1)
           for t in ("gamma", "beta", "running_mean", "running_var")],
-        "head/a/weight", "head/a/bias", "head/b/weight", "head/b/bias",
     ]
+    assert tensors["heads/weight"].shape == (2, 3)
+    assert tensors["heads/bias"].shape == (2,)
 
 
 def test_kind_mismatch_rejected(tmp_path):

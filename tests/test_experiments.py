@@ -215,23 +215,23 @@ pretrain_epochs = 1
 # path of training, aggregation, scoring or checkpointing changes one of them
 TINY_RUN_DIGESTS = {
     "non_iid_partial": {
-        "global_centralized.ckpt": "c4d27031c8ffdef93d3186aeecaa080c8e224bdde8ed356f856e43e3d768d06e",
-        "global_fedavg.ckpt": "51614d3023fefb35407ec282439f45c405510be59d9761cd1df1fcd8f85d846d",
-        "global_fedbn.ckpt": "de3a9d6615bc90101600a692c735f6a79832e1784573c9454da5fb72a78f6b8b",
-        "global_fedfbn.ckpt": "cea76b668755c922833397f9595c393c1ae8df1abba46d798f38e836bcaa5434",
-        "global_local_node0.ckpt": "f62315560ae0557ae0c14da57dcd60b759f7edbb97b4391b71f27c3a3871633b",
-        "global_local_node1.ckpt": "9b929e5d4eff75f83b9a42bcf4d93a808ab36f4dd09f94d5aa25a6868032e5ba",
-        "manifest.json": "32a18b1398d044922c738e1361c5ed62975314ae6ec24aefef596c4de5aab80d",
+        "global_centralized.ckpt": "a47eeea963a7313b043196dae1c6ec04736e1cf9ee806cd40bc05ed49d3d5d05",
+        "global_fedavg.ckpt": "fa1254998945469ef6f0c7015490e6dd8a9282c87cffe1e9259ad7baa8156345",
+        "global_fedbn.ckpt": "de23bf4c45bcf98cc46769d1bf116dbeb51b589c7bb6ddd0d4ab5393983bd64d",
+        "global_fedfbn.ckpt": "13778da0480b3255305f262aa03d10e02c7336aa577e9999d1d27e4b3e283971",
+        "global_local_node0.ckpt": "f5700fd36cc08b8bdefcd9f8741f3521a04b817be3461bcf5f221dccb661d034",
+        "global_local_node1.ckpt": "3988488ffb7e43d42cdf9e019ccd805f197a7a7419ee8a1fd82077d06bd85190",
+        "manifest.json": "33ed43183967bed0084576efbb126406bf3728f79082a6ccb6ffda990b6fb075",
         "summary.csv": "07aca9bc7ca7298ed55f22eadddfcef35d1bb5446267b4820ff200ee460d3086",
     },
     "iid_complete": {
-        "global_centralized.ckpt": "ee8380cdccb03e44d8fa208195a51bb68067fd7455f220eccd30d00c7fd099a2",
-        "global_fedavg.ckpt": "cf50a73d5f899d829b69bb447c1a3083a84291ace53ada00cd4b075adeb01a51",
-        "global_fedbn.ckpt": "71d14683affa62d78b263abf6aa30e46d2b7c053504cc8b68ecc1c7547351e7e",
-        "global_fedfbn.ckpt": "4e67fbb48fca18af6caf3ddee5a14e807ad98696f1b0806b816581957d8a98cc",
-        "global_local_node0.ckpt": "0c128dddedf1bbe9b7360712f03661517173fe1395fbef853a77b212addac5a7",
-        "global_local_node1.ckpt": "1ba8dd60bed3e2a421c341e507dc53fc3c7e907e857f8fc9eec4bd082a32190c",
-        "manifest.json": "19eee17f9f5502a83747cc1fbdfdbabe11d513516bf89ef1828dd23267a1c6f1",
+        "global_centralized.ckpt": "6cd70d6e4a770746c0b0aab4248cfd93b860357b30368a8561260db9079013fc",
+        "global_fedavg.ckpt": "21ad539cfe68d15a9423d439aa7594db7b66bd9cd00729effbb454561c0405bb",
+        "global_fedbn.ckpt": "aa4832b4a0604b800c86f9dadaf77458517a15bf23ed75cea042112e95abbd04",
+        "global_fedfbn.ckpt": "4356f60cfcf60bd584a0689fe80a97b22d186c52e0b23fe6daef90624ae6b0b0",
+        "global_local_node0.ckpt": "8efdb7da1b1f37c9d4a1a76c861ecc9587163410bab2980d8d19db53f2ccbe74",
+        "global_local_node1.ckpt": "9f053ed5b86d390386259707913a206d6ff30204649d890425bafef8c29ea50f",
+        "manifest.json": "ecf01a22ad7a2b77334998deb4c49dab77183a359e2c26cdfad73660e895ebb9",
         "summary.csv": "20c16af4dfc5461ea2e5714966fa82421a6c6c1140daa17564328078d36ed671",
     },
 }
