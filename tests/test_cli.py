@@ -98,7 +98,7 @@ def test_run_replays_byte_identically_with_one_blas_thread(tiny_config, tmp_path
         proc = subprocess.run(
             [sys.executable, "-m", "fedfbn.cli", "run", "--config", str(tiny_config),
              "--out", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=600,
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out)
