@@ -91,8 +91,9 @@ class ExperimentConfig:
             raise ConfigError(f"weighting must be one of {WEIGHTINGS}")
         if self.rounds < 1:
             raise ConfigError("rounds must be >= 1")
-        if self.n_bootstrap < 100:
-            raise ConfigError("n_bootstrap must be >= 100")
+        # every report keeps each replicate mean, so memory grows with the count
+        if not 100 <= self.n_bootstrap <= 100_000:
+            raise ConfigError(f"n_bootstrap must lie in [100, 100000], got {self.n_bootstrap}")
         if self.node_lrs is not None and len(self.node_lrs) != 2:
             raise ConfigError("node_lrs must list exactly two rates")
         if self.node_lrs is not None and min(self.node_lrs) <= 0:

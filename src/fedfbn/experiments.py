@@ -245,16 +245,14 @@ def _bn_variants(gm: GlobalModel, test_name: str) -> list[tuple[str, int | None]
     return [(f"node{i}", i) for i in own or node_ids]
 
 
-def _execute_arm(
+def _arm_plan(
     arm: str,
     cfg: ExperimentConfig,
     data: ScenarioData,
     node_models: list[Model],
     central_model: Model,
-    master: RngStream,
-    on_round=None,
-) -> ArmResult:
-    """Train one arm; its best global model is evaluated later, with the others."""
+) -> tuple[Strategy, list[tuple]]:
+    """An arm's strategy and one row per node it trains."""
     lrs = node_learning_rates(cfg)
     # arm -> (strategy, rows of node id, train, val, start model, batch
     # stream label, learning rate)
@@ -275,7 +273,20 @@ def _execute_arm(
     }
     if arm not in plans:
         raise ConfigError(f"unknown arm '{arm}'")
-    strategy, rows = plans[arm]
+    return plans[arm]
+
+
+def _execute_arm(
+    arm: str,
+    cfg: ExperimentConfig,
+    data: ScenarioData,
+    node_models: list[Model],
+    central_model: Model,
+    master: RngStream,
+    on_round=None,
+) -> ArmResult:
+    """Train one arm; its best global model is evaluated later, with the others."""
+    strategy, rows = _arm_plan(arm, cfg, data, node_models, central_model)
     nodes = [
         Node(
             node_id=node_id,
@@ -443,10 +454,18 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         except Exception as exc:
             fail(arm, _error_text(exc))
 
-    # The first arm trains before anything is forked, so the first call into
-    # the work is made by this process alone.
-    train(cfg.arms[0])
-    worker_states, lost = _forked(cfg.arms[1:], train, arms, shared_state)
+    # An arm costs the training rows it visits per round. The cheapest arm
+    # trains before anything is forked, so the first call into the work is
+    # made by this process alone, and soon; the rest go out longest first,
+    # so no long arm is left to finish alone. Ties keep the order of arms.
+    cost = {}
+    for arm in cfg.arms:
+        _, rows = _arm_plan(arm, cfg, data, node_models, central_model)
+        cost[arm] = sum(ds.n for _, ds, *_ in rows)
+    first = min(cfg.arms, key=cost.get)
+    train(first)
+    rest = sorted((arm for arm in cfg.arms if arm != first), key=lambda arm: -cost[arm])
+    worker_states, lost = _forked(tuple(rest), train, arms, shared_state)
     for arm in cfg.arms:
         if arm not in arms:
             fail(arm, _error_text(WorkerError("; ".join(lost))))

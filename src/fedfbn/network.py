@@ -245,15 +245,18 @@ def backward(
     # Each label as with a separate head: a (width, n) @ (n, 1) weight
     # gradient, a bias sum over one contiguous row, and an outer product added
     # to the trunk gradient in label order; a reduction over labels may pair
-    # the sums differently and change the last bits.
+    # the sums differently and change the last bits. The matmul keeps the
+    # strided dcols: a contiguous copy makes BLAS pick another kernel and
+    # changes bits. The outer products are built in C order, so each add
+    # walks contiguous rows.
     dcols = dlogits.T[:, :, None]
     grads: dict[str, Tensor] = {
         HEAD_WEIGHT: np.matmul(trunk.T, dcols)[:, :, 0],
         HEAD_BIAS: np.ascontiguousarray(dlogits.T).sum(axis=1),
     }
     dh = np.zeros_like(trunk)
-    for outer in dcols * p[HEAD_WEIGHT][:, None, :]:
-        dh = dh + outer
+    for outer in np.multiply(dcols, p[HEAD_WEIGHT][:, None, :], order="C"):
+        np.add(dh, outer, out=dh)
 
     for i in reversed(range(len(layers))):
         h_in, pre, mean, xn, inv_std, active = layers[i]

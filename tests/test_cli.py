@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fedfbn.cli
+import fedfbn.experiments
 from fedfbn.cli import main
 
 TINY = """\
@@ -251,6 +252,27 @@ def test_bad_config_exits_nonzero_with_error_line(tmp_path, capsys, raw, fragmen
     payload = json.loads(lines[0][len("ERROR "):])
     assert payload["error"] == "ConfigError"
     assert fragment in payload["message"]
+
+
+def test_n_bootstrap_above_the_bound_fails_before_any_training(tiny_config, tmp_path, capsys,
+                                                             monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained an arm")
+
+    monkeypatch.setattr(fedfbn.experiments, "run_federation", no_training)
+    bad = tmp_path / "huge_bootstrap.ini"
+    bad.write_text(TINY.replace("n_bootstrap = 100\n", "n_bootstrap = 100000000000\n"),
+                   encoding="utf-8")
+    out = tmp_path / "never"
+    assert main(["run", "--config", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    payload = json.loads(lines[0][len("ERROR "):])
+    assert payload["error"] == "ConfigError"
+    assert "n_bootstrap must lie in [100, 100000], got 100000000000" in payload["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**26)])

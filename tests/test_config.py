@@ -142,6 +142,17 @@ def test_seed_outside_64_bits_is_refused(seed):
         parse_config(f"[experiment]\nseed = {seed}\n")
 
 
+@pytest.mark.parametrize("n_bootstrap", [100_001, 100_000_000_000])
+def test_n_bootstrap_above_the_bound_is_refused(n_bootstrap):
+    with pytest.raises(ConfigError, match=r"n_bootstrap must lie in \[100, 100000\]"):
+        ExperimentConfig(n_bootstrap=n_bootstrap)
+
+
+def test_largest_n_bootstrap_parses():
+    text = "[experiment]\nn_bootstrap = 100000\n"
+    assert parse_config(text).n_bootstrap == 100_000
+
+
 def test_largest_64_bit_seed_is_accepted():
     assert parse_config(f"[experiment]\nseed = {2**64 - 1}\n").seed == 2**64 - 1
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fedfbn.experiments as experiments
-from fedfbn.config import ExperimentConfig, parse_config
+from fedfbn.config import ARMS, ExperimentConfig, parse_config
 from fedfbn.errors import LabelError, NodeFailure, ParseError, ProtocolError
 from fedfbn.experiments import (
     ArmResult,
@@ -265,6 +265,35 @@ def test_run_dir_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, sce
         runs.append({name: (out / name).read_bytes() for name in files})
     assert len(runs[0]) == n_files
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("arms", [ARMS, ARMS[::-1]], ids=["arms", "reversed_arms"])
+def test_arms_train_cheapest_first_then_longest_first(monkeypatch, arms):
+    cfg = tiny_cfg(arms=arms)
+    data = build_scenario(cfg)
+    node_rows = [ds.n for ds in data.node_train]
+    rows = {"local_node0": node_rows[0], "local_node1": node_rows[1],
+            "centralized": data.pooled_train.n}
+    rows = {arm: rows.get(arm, sum(node_rows)) for arm in arms}  # the federated arms
+    real, calls = experiments._execute_arm, []
+
+    def record(arm, *args):
+        calls.append(arm)
+        return real(arm, *args)
+
+    force_cpus(monkeypatch, 1)
+    monkeypatch.setattr(experiments, "_execute_arm", record)
+    result = run_experiment(cfg)
+    assert sorted(calls) == sorted(arms)
+    assert list(result.arms) == list(arms)
+    # first the arm with the fewest rows, the first such arm of cfg.arms
+    fewest = [arm for arm in arms if rows[arm] == min(rows.values())]
+    assert calls[0] == fewest[0]
+    # then by rows, highest first, ties in cfg.arms order
+    for before, after in zip(calls[1:], calls[2:]):
+        assert rows[before] > rows[after] or (
+            rows[before] == rows[after] and arms.index(before) < arms.index(after)
+        ), calls
 
 
 def test_patient_id_namespaces_do_not_collide():
@@ -543,7 +572,7 @@ def test_dead_worker_fails_only_the_arm_it_took(tmp_path, in_workers):
     errors = {arm: r.error for arm, r in result.arms.items() if r.error is not None}
     assert len(errors) == 1, errors
     (dead,) = errors
-    assert dead != "fedfbn"  # the first arm trains before the fork
+    assert dead != "fedfbn"  # first of the cheapest arms, it trains before the fork
     assert errors[dead].startswith("WorkerError: worker exited with code 3 (EOFError")
     files = emit_reports(result, tmp_path / "dead", "")
     kept = sorted(n for n in files if n.startswith(("report_", "rounds_", "global_")))
