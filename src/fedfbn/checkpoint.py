@@ -22,8 +22,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .federation import GlobalModel, Strategy
-from .network import ModelSpec, key_kind, param_shapes
+from .federation import GlobalModel, Strategy, global_shapes
+from .network import ModelSpec
 from .numerics import Tensor
 
 MAGIC = b"FBNCKPT1"
@@ -148,37 +148,16 @@ def spec_from_meta(meta: dict) -> ModelSpec:
         raise ParseError(f"invalid model spec metadata: {exc}") from None
 
 
-def _layout(spec: ModelSpec, bn_nodes) -> dict[str, tuple[int | None, str]]:
-    """Global-checkpoint key -> (node id or None for shared, parameter key).
-
-    In file order: the shared parameters under their own keys (see
-    ``param_shapes``), then FEDBN's per-node batch norm as
-    ``node_bn/<node id>/<key>``.
-    """
-    kinds = {key: key_kind(key) for key in param_shapes(spec)}
-    layout = {k: (None, k) for k, kind in kinds.items() if bn_nodes is None or kind != "bn"}
-    for node_id in bn_nodes or ():
-        layout.update(
-            {f"node_bn/{node_id}/{k}": (node_id, k) for k, kind in kinds.items() if kind == "bn"}
-        )
-    return layout
-
-
 def save_global(gm: GlobalModel, path) -> None:
     """Checkpoint a global model (kind "global"), bit-exact round-trip."""
-    bn_nodes = sorted(gm.per_node_bn) if gm.per_node_bn is not None else None
-    tensors = {
-        disk_key: (gm.params if node_id is None else gm.per_node_bn[node_id])[key]
-        for disk_key, (node_id, key) in _layout(gm.spec, bn_nodes).items()
-    }
     meta = {
         "spec": asdict(gm.spec),
         "strategy": gm.strategy.value,
         "round_index": gm.round_index,
         "node_labels": {str(i): list(v) for i, v in gm.node_labels.items()},
-        "bn_nodes": bn_nodes,
+        "bn_nodes": gm.bn_nodes,
     }
-    write_archive(path, "global", meta, tensors)
+    write_archive(path, "global", meta, gm.params)
 
 
 def load_global(path) -> GlobalModel:
@@ -200,31 +179,25 @@ def load_global(path) -> GlobalModel:
         for i, v in node_labels.items()
     ):
         raise ParseError(f"{path}: meta.node_labels must map node ids to label lists")
-    # FEDBN keeps batch norm for every node it aggregated; others keep none
-    bn_nodes = meta.get("bn_nodes")
-    if bn_nodes != (sorted(map(int, node_labels)) if strategy is Strategy.FEDBN else None):
-        raise ParseError(f"{path}: meta.bn_nodes does not fit strategy {strategy.value}")
-
-    shapes = param_shapes(spec)
-    layout = _layout(spec, bn_nodes)
-    missing = [k for k in layout if k not in tensors]
-    unexpected = sorted(k for k in tensors if k not in layout)
-    if missing or unexpected:
-        raise ParseError(f"{path}: missing tensors {missing}, unexpected tensors {unexpected}")
-    params: dict[str, Tensor] = {}
-    per_node_bn = None if bn_nodes is None else {i: {} for i in bn_nodes}
-    for disk_key, (node_id, key) in layout.items():
-        if tensors[disk_key].shape != shapes[key]:
-            raise ParseError(
-                f"{path}: tensor '{disk_key}' has shape {tensors[disk_key].shape}, "
-                f"the spec needs {shapes[key]}"
-            )
-        (params if node_id is None else per_node_bn[node_id])[key] = tensors[disk_key]
-    return GlobalModel(
+    gm = GlobalModel(
         spec=spec,
-        params=params,
+        params={},
         node_labels={int(i): tuple(v) for i, v in node_labels.items()},
         strategy=strategy,
         round_index=round_index,
-        per_node_bn=per_node_bn,
     )
+    if meta.get("bn_nodes") != gm.bn_nodes:
+        raise ParseError(f"{path}: meta.bn_nodes does not fit strategy {strategy.value}")
+
+    shapes = global_shapes(spec, gm.bn_nodes)
+    missing = [k for k in shapes if k not in tensors]
+    unexpected = sorted(k for k in tensors if k not in shapes)
+    if missing or unexpected:
+        raise ParseError(f"{path}: missing tensors {missing}, unexpected tensors {unexpected}")
+    for key, shape in shapes.items():
+        if tensors[key].shape != shape:
+            raise ParseError(
+                f"{path}: tensor '{key}' has shape {tensors[key].shape}, the spec needs {shape}"
+            )
+    gm.params = {key: tensors[key] for key in shapes}
+    return gm

@@ -24,9 +24,9 @@ from .errors import ConfigError, DataError, LabelError, ShapeError
 from .numerics import RngStream, Tensor
 
 
-def gaussian_cdf(x):
-    """Standard normal CDF, elementwise."""
-    return 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x, dtype=np.float64) / math.sqrt(2.0)))
+def gaussian_cdf(x: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def gaussian_quantile(q: float) -> float:
@@ -36,7 +36,7 @@ def gaussian_quantile(q: float) -> float:
     lo, hi = -9.0, 9.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
-        if 0.5 * (1.0 + math.erf(mid / math.sqrt(2.0))) < q:  # gaussian_cdf, scalar
+        if gaussian_cdf(mid) < q:
             lo = mid
         else:
             hi = mid

@@ -71,7 +71,6 @@ _PID_PRETRAIN = 3_000_000
 class ScenarioData:
     """Everything an arm needs; all label recoding already applied."""
 
-    node_labels: list[tuple[str, ...]]
     node_train: list[Dataset]
     node_val: list[Dataset]
     pooled_train: Dataset
@@ -79,7 +78,6 @@ class ScenarioData:
     test_sets: dict[str, Dataset]
     views: dict[str, tuple[str, ...]]
     pretrain: Dataset
-    source_labels: tuple[str, ...]
 
     def parts(self) -> dict[str, Dataset]:
         """Every named dataset, in name order."""
@@ -192,7 +190,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     pooled_val = concat_naive(node_val[0], node_val[1])
 
     return ScenarioData(
-        node_labels=node_labels,
         node_train=node_train,
         node_val=node_val,
         pooled_train=pooled_train,
@@ -200,7 +197,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
         test_sets=test_sets,
         views=views,
         pretrain=pretrain,
-        source_labels=source_model.label_names,
     )
 
 
@@ -238,9 +234,9 @@ def _bn_variants(gm: GlobalModel, test_name: str) -> list[tuple[str, int | None]
     FEDBN keeps per-node models, so it answers once per node; a node's own
     internal test set only gets that node's view.
     """
-    if gm.per_node_bn is None:
+    node_ids = gm.bn_nodes
+    if node_ids is None:
         return [("", None)]
-    node_ids = sorted(gm.per_node_bn)
     own = [i for i in node_ids if test_name == f"internal_node{i}"]
     return [(f"node{i}", i) for i in own or node_ids]
 
@@ -405,21 +401,21 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         data.pretrain.features,
         data.pretrain.labels,
         data.pretrain.mask,
-        source_labels=data.source_labels,
+        source_labels=data.pretrain.label_names,
         epochs=cfg.pretrain_epochs,
         rng=master.child("pretrain"),
         lr=cfg.pretrain_lr,
         batch_size=cfg.batch_size,
     )
-    # warmed start models: (name, labels, warm-up data); the name keys the
-    # warm-up stream and the start-model hash
+    # warmed start models: (name, warm-up data); the name keys the warm-up
+    # stream and the start-model hash
     warmed: dict[str, Model] = {}
-    for name, labels, train in (
-        ("node0", data.node_labels[0], data.node_train[0]),
-        ("node1", data.node_labels[1], data.node_train[1]),
-        ("centralized", data.pooled_train.label_names, data.pooled_train),
+    for name, train in (
+        ("node0", data.node_train[0]),
+        ("node1", data.node_train[1]),
+        ("centralized", data.pooled_train),
     ):
-        model = with_heads(backbone, labels, master.child("heads"))
+        model = with_heads(backbone, train.label_names, master.child("heads"))
         if cfg.warmup_epochs > 0:
             warmup_heads(
                 model,

@@ -187,14 +187,32 @@ RULES = {
 }
 
 
+def node_bn_key(node_id: int, key: str) -> str:
+    """The global-map key of FEDBN's copy of batch-norm ``key`` for a node."""
+    return f"node_bn/{node_id}/{key}"
+
+
+def global_shapes(spec: ModelSpec, bn_nodes: list[int] | None) -> dict[str, tuple[int, ...]]:
+    """Every key of a global model's map with its shape, in map order.
+
+    The shared keys come in ``param_shapes`` order. When ``bn_nodes`` names
+    the nodes that keep their own batch norm, the ``bn*`` keys leave the
+    shared part and follow under ``node_bn_key``, one node after another.
+    """
+    shapes = param_shapes(spec)
+    local = [] if bn_nodes is None else [key for key in shapes if key_kind(key) == "bn"]
+    table = {key: shape for key, shape in shapes.items() if key not in local}
+    table.update({node_bn_key(i, key): shapes[key] for i in bn_nodes or () for key in local})
+    return table
+
+
 @dataclass
 class GlobalModel:
-    """Server-side model: one shared parameter map, plus FEDBN's per-node BN.
+    """Server-side model: one flat parameter map.
 
-    ``params`` holds every shared key (trunk, then the heads with rows in
-    label order);
-    under FEDBN the batch-norm keys live in ``per_node_bn[node_id]``
-    instead.
+    ``params`` holds the keys of ``global_shapes``: the trunk, then the
+    heads with rows in label order, then under FEDBN each node's own
+    batch norm under ``node_bn_key``.
     """
 
     spec: ModelSpec
@@ -202,11 +220,15 @@ class GlobalModel:
     node_labels: dict[int, tuple[str, ...]]
     strategy: Strategy
     round_index: int
-    per_node_bn: dict[int, dict[str, Tensor]] | None = None
 
     @property
     def label_names(self) -> tuple[str, ...]:
         return self.spec.label_names
+
+    @property
+    def bn_nodes(self) -> list[int] | None:
+        """Ids of the nodes that keep their own batch norm (FEDBN's rule), else None."""
+        return sorted(self.node_labels) if RULES[self.strategy]["bn"] is None else None
 
     def materialize(self, labels, node_id: int | None = None) -> Model:
         """Build a concrete model for a label view (copies throughout).
@@ -220,20 +242,20 @@ class GlobalModel:
         missing = [l for l in labels if l not in self.label_names]
         if missing:
             raise LabelError(f"global model has no head for {missing}")
-        source = self.params
-        if self.per_node_bn is not None:
+        spec = replace(self.spec, label_names=labels)
+        stored = {key: key for key in param_shapes(spec)}
+        if self.bn_nodes is not None:
             if node_id is None:
                 raise ProtocolError("this global model keeps per-node batch norm; pass node_id")
-            if node_id not in self.per_node_bn:
+            if node_id not in self.bn_nodes:
                 raise ProtocolError(f"no batch-norm layers stored for node {node_id}")
-            source = {**self.params, **self.per_node_bn[node_id]}
-        spec = replace(self.spec, label_names=labels)
+            stored.update({k: node_bn_key(node_id, k) for k in stored if key_kind(k) == "bn"})
         rows = [self.label_names.index(label) for label in labels]
         return Model(
             spec=spec,
             params={
-                key: source[key][rows] if key_kind(key) == "head" else source[key].copy()
-                for key in param_shapes(spec)
+                key: self.params[src][rows] if key_kind(key) == "head" else self.params[src].copy()
+                for key, src in stored.items()
             },
         )
 
@@ -275,27 +297,26 @@ def aggregate(
     rules = RULES[strategy]
 
     params: dict[str, Tensor] = {}
-    per_node_bn = {b.node_id: {} for b in ordered} if strategy is Strategy.FEDBN else None
+    kept: list[str] = []  # keys each node keeps for itself
     for key in ordered[0].entries:
         kind = key_kind(key)
         if kind == "head":
             continue
         rule = rules[kind]
-        if rule is not None:
+        if rule is None:
+            kept.append(key)
+        else:
             params[key] = rule(key, ordered, weights)
-            continue
-        for b in ordered:
-            per_node_bn[b.node_id][key] = b.entries[key].copy()
 
     heads, union = merge_heads(ordered, weights)
     params.update(heads)
+    params.update({node_bn_key(b.node_id, k): b.entries[k].copy() for b in ordered for k in kept})
     return GlobalModel(
         spec=replace(spec, label_names=union),
         params=params,
         node_labels={b.node_id: b.head_labels for b in ordered},
         strategy=strategy,
         round_index=ordered[0].round_index,
-        per_node_bn=per_node_bn,
     )
 
 

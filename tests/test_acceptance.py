@@ -151,10 +151,11 @@ def test_c02_aggregation_matches_independent_oracles():
     for node_id, bundle in ((0, b0), (1, b1)):
         for key, value in bundle.entries.items():
             if key.startswith("bn"):
-                stored = bn.per_node_bn[node_id][key]
+                stored = bn.params[f"node_bn/{node_id}/{key}"]
                 assert stored.tobytes() == value.tobytes(), key
+    assert not any(key.startswith("bn") for key in bn.params)
     for key, got in bn.params.items():
-        if key.startswith("heads/"):
+        if key.startswith(("heads/", "node_bn/")):
             continue
         want = 0.5 * b0.entries[key]
         want = want + 0.5 * b1.entries[key]

@@ -109,6 +109,16 @@ def test_global_keeps_on_disk_key_layout(tmp_path):
     ]
     assert tensors["heads/weight"].shape == (2, 3)
     assert tensors["heads/bias"].shape == (2,)
+    # the file stores the global map as it is, and loading keeps its order
+    for strategy in (Strategy.FEDBN, Strategy.FEDFBN):
+        bundles = [extract_bundle(init_model(ModelSpec(3, (4, 3), ("a", "b")), RngStream(1)),
+                                  node_id, 0, 8) for node_id in (0, 1)]
+        gm = aggregate(bundles, strategy, ModelSpec(3, (4, 3), ()))
+        path = tmp_path / f"{strategy.value}.ckpt"
+        save_global(gm, path)
+        _, _, tensors = read_archive(path)
+        assert list(tensors) == list(gm.params), strategy
+        assert list(load_global(path).params) == list(gm.params), strategy
 
 
 def test_kind_mismatch_rejected(tmp_path):

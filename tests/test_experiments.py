@@ -89,20 +89,20 @@ def in_workers(monkeypatch):
 def test_iid_complete_topology():
     data = build_scenario(tiny_cfg())
     all_labels = data.test_sets["external"].label_names  # test sets keep every label
-    assert data.node_labels == [all_labels, all_labels]
+    assert [ds.label_names for ds in data.node_train] == [all_labels, all_labels]
     assert set(data.views) == {"all"}
     assert data.views["all"] == all_labels
     assert list(data.test_sets) == ["internal", "external"]
     # the pretraining task uses its own label vocabulary
-    assert not set(data.source_labels) & set(all_labels)
-    assert len(data.source_labels) == 6
+    assert not set(data.pretrain.label_names) & set(all_labels)
+    assert len(data.pretrain.label_names) == 6
 
 
 def test_partial_topology_is_11_7_with_4_shared():
     data = build_scenario(
         tiny_cfg(scenario="iid_partial", n_labels=14, n_patients_per_node=300)
     )
-    node0, node1 = data.node_labels
+    node0, node1 = (ds.label_names for ds in data.node_train)
     assert len(node0) == 11 and len(node1) == 7
     shared = set(node0) & set(node1)
     assert len(shared) == 4
@@ -119,8 +119,8 @@ def test_non_iid_complete_trains_one_shared_subset():
     data = build_scenario(
         tiny_cfg(scenario="non_iid_complete", n_labels=10, shift_magnitude=0.8)
     )
-    assert data.node_labels[0] == data.node_labels[1]
-    assert len(data.node_labels[0]) == 7
+    assert data.node_train[0].label_names == data.node_train[1].label_names
+    assert len(data.node_train[0].label_names) == 7
     assert set(data.views) == {"shared"}
     assert set(data.test_sets) == {"internal_node0", "internal_node1", "external"}
 
@@ -184,7 +184,7 @@ def test_scenario_layout_is_pinned(scenario):
     data = build_scenario(tiny_cfg(scenario=scenario, n_labels=14))
     assert {
         "content_hashes": digest(data.content_hashes()),
-        "node_labels": digest(data.node_labels),
+        "node_labels": digest([ds.label_names for ds in data.node_train]),
         "views": digest(list(data.views.items())),
         "test_sets": digest(list(data.test_sets)),
     } == SCENARIO_LAYOUT_DIGESTS[scenario]

@@ -141,12 +141,15 @@ def test_by_samples_weighting():
 def test_fedbn_keeps_bn_per_node():
     b0, b1 = bundles_pair()
     gm = aggregate([b0, b1], Strategy.FEDBN, SPEC)
-    assert gm.per_node_bn is not None
+    assert gm.bn_nodes == [0, 1]
+    bn_keys = [k for k in b0.entries if k.startswith("bn")]
+    # after the shared keys, grouped by node: all of node 0's, then node 1's
+    node_keys = [f"node_bn/{node_id}/{key}" for node_id in (0, 1) for key in bn_keys]
+    assert list(gm.params)[-len(node_keys):] == node_keys
     for node_id, bundle in ((0, b0), (1, b1)):
-        bn_keys = [k for k in bundle.entries if k.startswith("bn")]
-        assert list(gm.per_node_bn[node_id]) == bn_keys
+        assert [k for k in bundle.entries if k.startswith("bn")] == bn_keys
         for key in bn_keys:
-            assert np.array_equal(gm.per_node_bn[node_id][key], bundle.entries[key])
+            assert np.array_equal(gm.params[f"node_bn/{node_id}/{key}"], bundle.entries[key])
     # non-BN layers still use the mean oracle
     want = 0.5 * (b0.entries["dense1/weight"] + b1.entries["dense1/weight"])
     assert np.array_equal(gm.params["dense1/weight"], want)
@@ -344,11 +347,12 @@ def test_aggregate_is_order_free_and_fbn_carries_bn(strategy, weighting, nodes, 
     assert list(again.params) == list(gm.params)
     for key, value in gm.params.items():
         assert again.params[key].tobytes() == value.tobytes(), key
-    if gm.per_node_bn is not None:
-        for node_id, bn in gm.per_node_bn.items():
-            assert list(again.per_node_bn[node_id]) == list(bn)
-            for key, value in bn.items():
-                assert again.per_node_bn[node_id][key].tobytes() == value.tobytes()
+    if strategy is Strategy.FEDBN:
+        assert not any(k.startswith("bn") for k in gm.params)
+        for b in bundles:
+            for key in (k for k in b.entries if k.startswith("bn")):
+                stored = gm.params[f"node_bn/{b.node_id}/{key}"]
+                assert stored.tobytes() == b.entries[key].tobytes(), (b.node_id, key)
     if shared_bn:
         bn_keys = [k for k in bundles[0].entries if k.startswith("bn")]
         for key in bn_keys:
@@ -442,6 +446,28 @@ def test_fedbn_separates_bn_after_aggregation():
             assert np.array_equal(m0[key], m1[key]), key
     with pytest.raises(ProtocolError):
         fed.best.materialize(("a",))
+
+
+def test_materialize_needs_a_stored_node_only_under_fedbn():
+    b0, b1 = bundles_pair()
+    fedbn = aggregate([b0, b1], Strategy.FEDBN, SPEC)
+    with pytest.raises(ProtocolError, match="keeps per-node batch norm; pass node_id"):
+        fedbn.materialize(("a",))
+    with pytest.raises(ProtocolError, match="no batch-norm layers stored for node 7"):
+        fedbn.materialize(("a",), node_id=7)
+    for node_id, bundle in ((0, b0), (1, b1)):
+        model = fedbn.materialize(("b",), node_id=node_id)
+        for key in ("bn0/gamma", "bn1/running_var"):
+            assert model.params[key].tobytes() == bundle.entries[key].tobytes(), (node_id, key)
+    for strategy, bundles in ((Strategy.FEDAVG, [b0, b1]),
+                              (Strategy.FEDFBN, bundles_pair(train=False))):  # identical BN
+        gm = aggregate(bundles, strategy, SPEC)
+        want = gm.materialize(("a", "c"))
+        for node_id in (0, 1, 7):
+            got = gm.materialize(("a", "c"), node_id=node_id)
+            assert list(got.params) == list(want.params)
+            for key, value in want.params.items():
+                assert got.params[key].tobytes() == value.tobytes(), (strategy, node_id, key)
 
 
 def test_node_failure_names_node_and_round():
@@ -548,10 +574,11 @@ def test_global_checkpoint_round_trips(tmp_path):
         assert list(back.params) == list(gm.params)
         for key, value in gm.params.items():
             assert value.tobytes() == back.params[key].tobytes()
-        if gm.per_node_bn is None:
-            assert back.per_node_bn is None
+        assert back.bn_nodes == gm.bn_nodes
+        node_keys = [k for k in gm.params if k.startswith("node_bn/")]
+        if strategy is Strategy.FEDBN:
+            assert node_keys == [f"node_bn/{node_id}/{key}" for node_id in (0, 1)
+                                 for key in b0.entries if key.startswith("bn")]
+            assert not any(k.startswith("bn") for k in back.params)
         else:
-            for node_id, bn in gm.per_node_bn.items():
-                assert list(back.per_node_bn[node_id]) == list(bn)
-                for key, value in bn.items():
-                    assert value.tobytes() == back.per_node_bn[node_id][key].tobytes()
+            assert node_keys == []
