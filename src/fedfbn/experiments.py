@@ -43,7 +43,7 @@ from .datagen import (
     shifted_domain,
     split_by_patient,
 )
-from .errors import ConfigError, ParseError, ProtocolError, WorkerError
+from .errors import ParseError, ProtocolError, WorkerError
 from .federation import (
     GlobalModel,
     Node,
@@ -241,59 +241,50 @@ def _bn_variants(gm: GlobalModel, test_name: str) -> list[tuple[str, int | None]
     return [(f"node{i}", i) for i in own or node_ids]
 
 
-def _arm_plan(
-    arm: str,
-    cfg: ExperimentConfig,
-    data: ScenarioData,
-    node_models: list[Model],
-    central_model: Model,
-) -> tuple[Strategy, list[tuple]]:
-    """An arm's strategy and one row per node it trains."""
-    lrs = node_learning_rates(cfg)
-    # arm -> (strategy, rows of node id, train, val, start model, batch
-    # stream label, learning rate)
-    pair = [
-        (i, data.node_train[i], data.node_val[i], node_models[i], f"node{i}", lrs[i])
-        for i in (0, 1)
-    ]
-    plans = {
-        "fedfbn": (Strategy.FEDFBN, pair),
-        "fedavg": (Strategy.FEDAVG, pair),
-        "fedbn": (Strategy.FEDBN, pair),
-        "local_node0": (Strategy.FEDAVG, pair[:1]),
-        "local_node1": (Strategy.FEDAVG, pair[1:]),
-        "centralized": (
-            Strategy.FEDAVG,
-            [(0, data.pooled_train, data.pooled_val, central_model, "centralized", cfg.lr)],
-        ),
+# arm -> (strategy, the start models it trains); each runs as a node
+_ARM_TABLE = {
+    "fedfbn": (Strategy.FEDFBN, ("node0", "node1")),
+    "fedavg": (Strategy.FEDAVG, ("node0", "node1")),
+    "fedbn": (Strategy.FEDBN, ("node0", "node1")),
+    "local_node0": (Strategy.FEDAVG, ("node0",)),
+    "local_node1": (Strategy.FEDAVG, ("node1",)),
+    "centralized": (Strategy.FEDAVG, ("centralized",)),
+}
+
+
+def _start_models(cfg: ExperimentConfig, data: ScenarioData) -> dict[str, dict]:
+    """Each start model's node id, train and val data, and learning rate.
+
+    A start model's name keys its warm-up stream, its batch stream
+    ``batches:<name>`` and its start-model hash.
+    """
+    lr0, lr1 = node_learning_rates(cfg)
+    return {
+        "node0": dict(node_id=0, train=data.node_train[0], val=data.node_val[0], lr=lr0),
+        "node1": dict(node_id=1, train=data.node_train[1], val=data.node_val[1], lr=lr1),
+        "centralized": dict(node_id=0, train=data.pooled_train, val=data.pooled_val, lr=cfg.lr),
     }
-    if arm not in plans:
-        raise ConfigError(f"unknown arm '{arm}'")
-    return plans[arm]
 
 
 def _execute_arm(
     arm: str,
     cfg: ExperimentConfig,
     data: ScenarioData,
-    node_models: list[Model],
-    central_model: Model,
+    warmed: dict[str, Model],
     master: RngStream,
     on_round=None,
 ) -> ArmResult:
     """Train one arm; its best global model is evaluated later, with the others."""
-    strategy, rows = _arm_plan(arm, cfg, data, node_models, central_model)
+    strategy, names = _ARM_TABLE[arm]
+    starts = _start_models(cfg, data)
     nodes = [
         Node(
-            node_id=node_id,
-            train=train,
-            val=val,
-            model=copy.deepcopy(model),
-            rng=master.child(f"batches:{stream}"),
-            lr=lr,
+            **starts[name],
+            model=copy.deepcopy(warmed[name]),
+            rng=master.child(f"batches:{name}"),
             batch_size=cfg.batch_size,
         )
-        for node_id, train, val, model, stream, lr in rows
+        for name in names
     ]
 
     fed = run_federation(
@@ -331,20 +322,22 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _forked(tasks: tuple, run, done: dict, state) -> tuple[list, list[str]]:
+def _forked(tasks: tuple, run, state) -> tuple[list, list]:
     """``run`` each task here and in forked workers, one process per usable CPU.
 
-    Each process takes the next task index from one pipe; ``run(task)``
-    records its outcome in ``done[task]``. A worker pickles back its part of
-    ``done`` and the ``state()`` of its copy of the shared data, and always
-    ends through ``os._exit``. Returns the workers' states and why any
-    worker sent back nothing readable; its tasks are missing from ``done``.
+    Each process takes the next task index from one pipe. A worker pickles
+    back the outcomes of the tasks it ran and the ``state()`` of its copy of
+    the shared data, and always ends through ``os._exit``. Returns each
+    task's outcome in task order, a WorkerError saying why for a task whose
+    worker sent back nothing readable, and the workers' states.
     """
     n_workers = min(len(os.sched_getaffinity(0)), len(tasks)) - 1
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(tasks))))
     os.close(feed)
     sys.stdout.flush()  # or a worker repeats what is still buffered
+    # empty until every worker is forked, so a worker sends only its own
+    outcomes: dict[int, object] = {}
     workers, states, lost = [], [], []
     try:
         for _ in range(n_workers):
@@ -354,18 +347,17 @@ def _forked(tasks: tuple, run, done: dict, state) -> tuple[list, list[str]]:
                 code = 1
                 try:
                     os.close(result_r)
-                    done.clear()
                     while index := os.read(queue, 1):
-                        run(tasks[index[0]])
+                        outcomes[index[0]] = run(tasks[index[0]])
                     with open(result_w, "wb") as fh:
-                        pickle.dump((done, state()), fh)
+                        pickle.dump((outcomes, state()), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(result_w)
             workers.append((pid, result_r))
         while index := os.read(queue, 1):
-            run(tasks[index[0]])
+            outcomes[index[0]] = run(tasks[index[0]])
     finally:
         os.close(queue)
         for pid, result_r in workers:
@@ -377,9 +369,10 @@ def _forked(tasks: tuple, run, done: dict, state) -> tuple[list, list[str]]:
             except Exception as exc:
                 lost.append(f"worker exited with code {code} ({_error_text(exc)})")
                 continue
-            done.update(sent)
+            outcomes.update(sent)
             states.append(worker_state)
-    return states, lost
+    missing = WorkerError("; ".join(lost))
+    return [outcomes.get(i, missing) for i in range(len(tasks))], states
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -407,14 +400,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         lr=cfg.pretrain_lr,
         batch_size=cfg.batch_size,
     )
-    # warmed start models: (name, warm-up data); the name keys the warm-up
-    # stream and the start-model hash
+    starts = _start_models(cfg, data)
     warmed: dict[str, Model] = {}
-    for name, train in (
-        ("node0", data.node_train[0]),
-        ("node1", data.node_train[1]),
-        ("centralized", data.pooled_train),
-    ):
+    for name, start in starts.items():
+        train = start["train"]
         model = with_heads(backbone, train.label_names, master.child("heads"))
         if cfg.warmup_epochs > 0:
             warmup_heads(
@@ -428,51 +417,44 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                 batch_size=cfg.batch_size,
             )
         warmed[name] = model
-    node_models = [warmed["node0"], warmed["node1"]]
-    central_model = warmed["centralized"]
 
     def shared_state() -> tuple[dict[str, str], dict[str, str]]:
         return data.content_hashes(), {name: model_hash(m) for name, m in warmed.items()}
 
     dataset_hashes, start_hashes = shared_state()
 
-    arms: dict[str, ArmResult] = {}
-
-    def fail(arm: str, error: str) -> None:
-        arms[arm] = ArmResult(error=error)
+    def fail(arm: str, error: str) -> ArmResult:
         if progress is not None:
             progress(f"arm {arm}: {error}")
+        return ArmResult(error=error)
 
-    def train(arm: str) -> None:
+    def train(arm: str) -> ArmResult:
         on_round = None if progress is None else _round_progress(arm, progress)
         try:
-            arms[arm] = _execute_arm(arm, cfg, data, node_models, central_model, master, on_round)
+            return _execute_arm(arm, cfg, data, warmed, master, on_round)
         except Exception as exc:
-            fail(arm, _error_text(exc))
+            return fail(arm, _error_text(exc))
 
     # An arm costs the training rows it visits per round. The cheapest arm
     # trains before anything is forked, so the first call into the work is
     # made by this process alone, and soon; the rest go out longest first,
     # so no long arm is left to finish alone. Ties keep the order of arms.
-    cost = {}
-    for arm in cfg.arms:
-        _, rows = _arm_plan(arm, cfg, data, node_models, central_model)
-        cost[arm] = sum(ds.n for _, ds, *_ in rows)
+    cost = {arm: sum(starts[name]["train"].n for name in _ARM_TABLE[arm][1]) for arm in cfg.arms}
     first = min(cfg.arms, key=cost.get)
-    train(first)
-    rest = sorted((arm for arm in cfg.arms if arm != first), key=lambda arm: -cost[arm])
-    worker_states, lost = _forked(tuple(rest), train, arms, shared_state)
-    for arm in cfg.arms:
-        if arm not in arms:
-            fail(arm, _error_text(WorkerError("; ".join(lost))))
-        arms[arm] = arms.pop(arm)
+    trained = {first: train(first)}
+    rest = tuple(sorted((arm for arm in cfg.arms if arm != first), key=lambda arm: -cost[arm]))
+    outcomes, worker_states = _forked(rest, train, shared_state)
+    trained.update(zip(rest, outcomes))
+    # a dead worker's arms fail here, in the order of arms
+    arms = {arm: fail(arm, _error_text(trained[arm])) if isinstance(trained[arm], WorkerError)
+            else trained[arm] for arm in cfg.arms}
 
     # Per (test set, view), score every trained arm and BN variant, then
     # bootstrap them all on one set of eval:<test>:<view> draws. A scoring
     # error fails only its arm; a bootstrap error depends only on the
     # labels, mask and draws, so it fails every arm in the group. Errors
     # travel as text: not every exception unpickles.
-    def evaluate(group: tuple[str, str]) -> None:
+    def evaluate(group: tuple[str, str]) -> tuple[list, list]:
         test_name, view_name = group
         ds, labels = data.test_sets[test_name], data.views[view_name]
         keys: list[tuple[str, str]] = []
@@ -500,19 +482,19 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                 )
             except Exception as exc:
                 failures.extend((a, _error_text(exc)) for a in dict.fromkeys(a for a, _ in keys))
-        outcomes[group] = (list(zip(keys, reports)), failures)
+        return list(zip(keys, reports)), failures
 
     groups = tuple(itertools.product(data.test_sets, data.views))
-    outcomes: dict[tuple[str, str], tuple[list, list]] = {}
-    eval_states, lost = _forked(groups, evaluate, outcomes, shared_state)
+    outcomes, eval_states = _forked(groups, evaluate, shared_state)
     # In group order, as one process meets them: an arm keeps its first
     # error and a failed arm keeps no reports. A lost group fails every arm.
-    lost_group = ([], [(arm, _error_text(WorkerError("; ".join(lost)))) for arm in arms])
-    for group in groups:
-        reports, failures = outcomes.get(group, lost_group)
+    for group, outcome in zip(groups, outcomes):
+        if isinstance(outcome, WorkerError):
+            outcome = ([], [(arm, _error_text(outcome)) for arm in arms])
+        reports, failures = outcome
         for arm, error in failures:
             if arms[arm].error is None:
-                fail(arm, error)
+                arms[arm] = fail(arm, error)
         for (arm, variant), report in reports:
             if arms[arm].error is None:
                 arms[arm].reports[(*group, variant)] = report

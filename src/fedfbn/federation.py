@@ -477,7 +477,9 @@ def score_global(gm: GlobalModel, ds, labels, node_id: int | None = None) -> Ten
     """
     labels = tuple(labels)
     ds.label_indices(labels)  # a label ds lacks is a LabelError
-    usable = gm.label_names if node_id is None else gm.node_labels[node_id]
+    usable = gm.label_names if node_id is None else gm.node_labels.get(node_id)
+    if usable is None:
+        raise ProtocolError(f"global model has no node {node_id}")
     present = [l for l in labels if l in usable]
     if not present:
         raise LabelError("no requested label has a trained head")

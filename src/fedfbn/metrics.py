@@ -20,7 +20,7 @@ in score order, read at each positive's two ``searchsorted`` bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,10 +90,6 @@ def mean_auroc(per_label: dict[str, float | None]) -> float:
     return float(sum(defined) / len(defined))
 
 
-def undefined_labels(per_label: dict[str, float | None]) -> list[str]:
-    return [name for name, v in per_label.items() if v is None]
-
-
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
     rank = math.ceil(q * sorted_values.size)
     rank = min(max(rank, 1), sorted_values.size)
@@ -110,7 +106,6 @@ class EvalReport:
     n_bootstrap: int
     per_replicate_means: list[float]
     seed: int
-    undefined: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         """The report in plain JSON types, as a report envelope stores it."""
@@ -123,7 +118,7 @@ class EvalReport:
             "ci95": [float(v) for v in self.ci95],
             "n_bootstrap": int(self.n_bootstrap),
             "seed": int(self.seed),
-            "undefined_labels": list(self.undefined),
+            "undefined_labels": [k for k, v in self.per_label_auroc.items() if v is None],
             "per_replicate_means": list(map(float, self.per_replicate_means)),
         }
 
@@ -235,7 +230,6 @@ def bootstrap_ci(
             n_bootstrap=n_bootstrap,
             per_replicate_means=means.tolist(),
             seed=rng.seed,
-            undefined=undefined_labels(point),
         ))
     return reports
 

@@ -296,6 +296,13 @@ def test_arms_train_cheapest_first_then_longest_first(monkeypatch, arms):
         ), calls
 
 
+def test_arm_table_names_every_arm_in_config_order():
+    assert tuple(experiments._ARM_TABLE) == ARMS
+    cfg = tiny_cfg()
+    starts = experiments._start_models(cfg, build_scenario(cfg))
+    assert {name for _, names in experiments._ARM_TABLE.values() for name in names} == set(starts)
+
+
 def test_patient_id_namespaces_do_not_collide():
     data = build_scenario(tiny_cfg(scenario="non_iid_partial", n_labels=14))
     node0 = set(np.unique(data.node_train[0].patient_ids))
@@ -537,9 +544,9 @@ def test_arm_mutating_shared_data_is_a_protocol_error(monkeypatch):
 def test_arm_mutating_warmed_models_is_a_protocol_error(monkeypatch):
     real = experiments._execute_arm
 
-    def vandal(arm, cfg, data, node_models, *rest):
-        node_models[0].params["dense0/weight"][0, 0] += 1.0
-        return real(arm, cfg, data, node_models, *rest)
+    def vandal(arm, cfg, data, warmed, *rest):
+        warmed["node0"].params["dense0/weight"][0, 0] += 1.0
+        return real(arm, cfg, data, warmed, *rest)
 
     force_cpus(monkeypatch, 2)
     monkeypatch.setattr(experiments, "_execute_arm", vandal)
@@ -551,8 +558,8 @@ def _spoil_data(arm, cfg, data, *rest):
     data.node_train[0].features[0, 0] += 1.0
 
 
-def _spoil_models(arm, cfg, data, node_models, *rest):
-    node_models[0].params["dense0/weight"][0, 0] += 1.0
+def _spoil_models(arm, cfg, data, warmed, *rest):
+    warmed["node0"].params["dense0/weight"][0, 0] += 1.0
 
 
 @pytest.mark.parametrize("spoil, match", [(_spoil_data, "shared datasets"),

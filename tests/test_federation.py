@@ -561,6 +561,20 @@ def test_evaluate_global_label_handling():
     assert node1.per_label_auroc["b"] == full.per_label_auroc["b"]
 
 
+def test_score_global_refuses_an_unknown_node():
+    from fedfbn.datagen import Dataset
+
+    part = node_data(("a",), seed=112, n=8)
+    ds = Dataset(features=part.features, labels=part.labels, mask=part.mask,
+                 patient_ids=np.arange(8), label_names=("a",))
+    for strategy in (Strategy.FEDAVG, Strategy.FEDBN, Strategy.FEDFBN):
+        # FEDFBN needs the nodes' batch norm identical, so those stay untrained
+        bundles = bundles_pair(train=strategy is not Strategy.FEDFBN)
+        gm = aggregate(list(bundles), strategy, SPEC)
+        with pytest.raises(ProtocolError, match="global model has no node 7"):
+            score_global(gm, ds, ("a",), node_id=7)
+
+
 def test_global_checkpoint_round_trips(tmp_path):
     b0, b1 = bundles_pair()
     for strategy in (Strategy.FEDAVG, Strategy.FEDBN):
