@@ -484,11 +484,16 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                 failures.extend((a, _error_text(exc)) for a in dict.fromkeys(a for a, _ in keys))
         return list(zip(keys, reports)), failures
 
+    # A group costs its test rows times its view's labels; like the arms,
+    # the groups go out longest first, ties in group order.
     groups = tuple(itertools.product(data.test_sets, data.views))
-    outcomes, eval_states = _forked(groups, evaluate, shared_state)
+    by_cost = sorted(groups, key=lambda g: -data.test_sets[g[0]].n * len(data.views[g[1]]))
+    outcomes, eval_states = _forked(by_cost, evaluate, shared_state)
+    outcomes = dict(zip(by_cost, outcomes))
     # In group order, as one process meets them: an arm keeps its first
     # error and a failed arm keeps no reports. A lost group fails every arm.
-    for group, outcome in zip(groups, outcomes):
+    for group in groups:
+        outcome = outcomes[group]
         if isinstance(outcome, WorkerError):
             outcome = ([], [(arm, _error_text(outcome)) for arm in arms])
         reports, failures = outcome
@@ -679,7 +684,7 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
         files.append(ckpt_name)
         for (test_set, view, variant), report in arm_result.reports.items():
             env = _envelope(arm, variant, test_set, view, result.data.views[view], report)
-            _write(_envelope_name(env), json.dumps(env, sort_keys=True, indent=2) + "\n")
+            _write(_envelope_name(env), json.dumps(env, sort_keys=True) + "\n")
             envelopes.append(env)
 
     for name, text in render_tables(envelopes).items():

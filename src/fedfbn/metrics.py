@@ -32,7 +32,7 @@ SIGNIFICANCE_LEVEL = 0.05
 _REPORT_SCHEMA_VERSION = 1
 # Bootstrap replicates scored together; bounds the (replicates, rows) count
 # arrays so memory does not grow with n_bootstrap.
-_BOOTSTRAP_BLOCK = 32
+_BOOTSTRAP_BLOCK = 128
 
 
 def auroc(scores, labels) -> float | None:
@@ -187,11 +187,11 @@ def bootstrap_ci(
     replicate_means = np.empty((n_models, n_bootstrap))
     for first in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
         block = range(first, min(first + _BOOTSTRAP_BLOCK, n_bootstrap))
-        # counts[b, i]: how often replicate first + b drew row i
-        counts = np.stack(
-            [np.bincount(rng.child(f"boot:{r}").integers(0, n, size=n), minlength=n)
-             for r in block]
-        )
+        # counts[b, i]: how often replicate first + b drew row i, from one
+        # bincount with each replicate's draws shifted into its own row
+        draws = rng.child_integers([f"boot:{r}" for r in block], n, n)
+        draws += np.arange(0, len(block) * n, n)[:, None]
+        counts = np.bincount(draws.ravel(), minlength=len(block) * n).reshape(len(block), n)
         total = np.zeros((n_models, len(block)))
         n_defined = np.zeros(len(block), dtype=np.int64)
         # label by label, so each replicate sums its AUROCs in label order

@@ -34,6 +34,7 @@ HEADS = "heads"
 
 HEAD_WEIGHT = f"{HEADS}/weight"
 HEAD_BIAS = f"{HEADS}/bias"
+_HEAD_PREFIX = f"{HEADS}/"
 
 
 class BnPolicy(str, Enum):
@@ -81,7 +82,7 @@ class Model:
 
 def key_kind(key: str) -> str:
     """The tensor kind aggregation rules tell apart: "dense", "bn" or "head"."""
-    if key.startswith(f"{HEADS}/"):
+    if key.startswith(_HEAD_PREFIX):
         return "head"
     return "bn" if key.startswith("bn") else "dense"
 
@@ -293,8 +294,11 @@ def sgd_step(model: Model, grads: dict[str, Tensor], lr_by_block: dict[str, floa
     for block in (REPRESENTATION, HEADS):
         if block not in lr_by_block:
             raise ConfigError(f"lr_by_block missing '{block}'")
+    rep_lr, head_lr = lr_by_block[REPRESENTATION], lr_by_block[HEADS]
+    cut = len(_HEAD_PREFIX)
     for key, g in grads.items():
-        lr = lr_by_block[HEADS if key_kind(key) == "head" else REPRESENTATION]
+        # key_kind's head test as a slice: no call per key on the hot path
+        lr = head_lr if key[:cut] == _HEAD_PREFIX else rep_lr
         if lr == 0.0:
             continue
         param = model.params.get(key)

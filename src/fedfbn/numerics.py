@@ -58,16 +58,36 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
+    def _child_seed(self, label: str) -> int:
+        h = hashlib.sha256()
+        h.update(label.encode("utf-8"))
+        h.update(self.seed.to_bytes(8, "little"))
+        return int.from_bytes(h.digest()[:8], "little")
+
     def child(self, label: str) -> "RngStream":
         """Derive an independent stream from this stream's seed and a label.
 
         Pure function of ``(self.seed, label)``: it does not consume or
         observe this stream's position.
         """
-        h = hashlib.sha256()
-        h.update(label.encode("utf-8"))
-        h.update(self.seed.to_bytes(8, "little"))
-        return RngStream(int.from_bytes(h.digest()[:8], "little"))
+        return RngStream(self._child_seed(label))
+
+    def child_integers(self, labels: list[str], high: int, size: int) -> np.ndarray:
+        """Row ``i`` holds ``child(labels[i]).integers(0, high, size)``.
+
+        One Philox generator is put back, for each label, into the state a
+        new child's generator starts in (the child's seed as key, counter 0,
+        empty buffer) instead of building a generator per child.
+        """
+        bits = np.random.Philox(key=0)
+        gen = np.random.Generator(bits)
+        fresh = bits.state
+        out = np.empty((len(labels), size), dtype=np.int64)
+        for row, label in zip(out, labels):
+            fresh["state"]["key"][0] = self._child_seed(label)
+            bits.state = fresh
+            row[:] = gen.integers(0, high, size=size, dtype=np.int64)
+        return out
 
     # Draw helpers; all return float64 (or int64 for index draws).
 

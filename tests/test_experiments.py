@@ -22,6 +22,7 @@ from fedfbn.experiments import (
     run_experiment,
     write_datasets,
 )
+from fedfbn.numerics import RngStream
 
 
 def tiny_cfg(**overrides):
@@ -294,6 +295,35 @@ def test_arms_train_cheapest_first_then_longest_first(monkeypatch, arms):
         assert rows[before] > rows[after] or (
             rows[before] == rows[after] and arms.index(before) < arms.index(after)
         ), calls
+
+
+def test_groups_are_evaluated_longest_first(monkeypatch):
+    cfg = tiny_cfg(scenario="non_iid_partial", n_labels=14)
+    data = build_scenario(cfg)
+    groups = [(test, view) for test in data.test_sets for view in data.views]
+    cost = {(test, view): data.test_sets[test].n * len(data.views[view])
+            for test, view in groups}
+    seeds = {RngStream(cfg.seed).child(f"eval:{test}:{view}").seed: (test, view)
+             for test, view in groups}
+    real, calls = experiments.evaluate_global, []
+
+    def record(*args, rng, **kwargs):
+        calls.append(seeds[rng.seed])
+        return real(*args, rng=rng, **kwargs)
+
+    force_cpus(monkeypatch, 1)
+    monkeypatch.setattr(experiments, "evaluate_global", record)
+    result = run_experiment(cfg)
+    assert sorted(calls) == sorted(groups)
+    assert len(set(cost.values())) > 1
+    # by test rows times view labels, highest first, ties in group order
+    for before, after in zip(calls, calls[1:]):
+        assert cost[before] > cost[after] or (
+            cost[before] == cost[after] and groups.index(before) < groups.index(after)
+        ), calls
+    # reports still land in group order
+    for arm_result in result.arms.values():
+        assert list(dict.fromkeys(key[:2] for key in arm_result.reports)) == groups
 
 
 def test_arm_table_names_every_arm_in_config_order():

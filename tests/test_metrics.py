@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fedfbn import metrics
 from fedfbn.errors import ConfigError, MetricError
 from fedfbn.metrics import (
     EvalReport,
@@ -196,6 +197,44 @@ def test_bootstrap_width_shrinks_with_test_size():
             )
             widths[n].append(rep.ci95[1] - rep.ci95[0])
     assert float(np.median(widths[2000])) < float(np.median(widths[200]))
+
+
+def _block_cases():
+    """(scores, labels, mask, n_bootstrap, seed): three stacked models, a rare
+    label, and no label defined first at replicate 147, past one block of 128."""
+    stacked = np.stack([_toy_eval(90, 30 + k, flip=0.1 * k)[0] for k in range(3)])
+    _, labels, mask = _toy_eval(90, 30)
+    rare = np.zeros((50, 2))
+    rare[::2, 0] = 1.0
+    rare[3, 1] = 1.0
+    n = 40
+    dead = np.zeros((n, 3))
+    dead[0, 0] = dead[1, 1] = dead[2, 2] = 1.0
+    return [
+        (stacked, labels, mask, 300, 9),
+        (RngStream(13).random((1, 50, 2)), rare, np.ones((50, 2)), 150, 14),
+        (np.tile(np.linspace(0.0, 1.0, n)[:, None], (1, 1, 3)), dead, np.ones((n, 3)), 300, 41),
+    ]
+
+
+def test_bootstrap_results_do_not_depend_on_the_block_size(monkeypatch):
+    def outcome(scores, labels, mask, n_bootstrap, seed):
+        names = [f"l{j}" for j in range(labels.shape[1])]
+        try:
+            reports = bootstrap_ci(scores, labels, mask, names, RngStream(seed), n_bootstrap)
+        except MetricError as exc:
+            return str(exc)
+        return [report.to_dict() for report in reports]
+
+    cases = _block_cases()
+    monkeypatch.setattr(metrics, "_BOOTSTRAP_BLOCK", 32)
+    want = [outcome(*case) for case in cases]
+    assert want[2] == "bootstrap replicate 147: no label has a defined AUROC"
+    assert all(isinstance(w, list) for w in want[:2])
+    for case, expected in zip(cases, want):
+        for block in (1, 7, 128, case[3] + 1):
+            monkeypatch.setattr(metrics, "_BOOTSTRAP_BLOCK", block)
+            assert outcome(*case) == expected, block
 
 
 def reference_bootstrap_ci(scores, labels, mask, label_names, rng, n_bootstrap):
