@@ -18,12 +18,21 @@ from dataclasses import dataclass, fields
 from .errors import ConfigError
 from .network import ModelSpec
 
-SCENARIOS = (
-    "iid_complete",
-    "iid_partial",
-    "non_iid_complete",
-    "non_iid_partial",
-)
+# scenario -> (whether each node gets its own shifted domain, label layout).
+# A layout is (node0 labels, node1 labels, {view: labels}); each entry is a
+# slice of the one `label-topology` permutation of the label names, or None
+# for every label in name order.
+SCENARIOS = {
+    "iid_complete": (False, (None, None, {"all": None})),
+    "iid_partial": (False, (slice(0, 11), slice(7, 14), {
+        "all": None, "shared": slice(7, 11), "node0": slice(0, 11), "node1": slice(7, 14)})),
+    "non_iid_complete": (True, (slice(0, 7), slice(0, 7), {"shared": slice(0, 7)})),
+    "non_iid_partial": (True, (slice(0, 11), slice(7, 14), {
+        "all": None, "shared": slice(7, 11), "node0": slice(0, 11), "node1": slice(7, 14)})),
+}
+
+# LabelModel.sample draws the labels one at a time in Python (~50 us each)
+MAX_LABELS = 1000
 
 ARMS = (
     "fedfbn",
@@ -80,7 +89,7 @@ class ExperimentConfig:
             raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.scenario not in SCENARIOS:
             raise ConfigError(
-                f"unknown scenario '{self.scenario}'; choose one of {SCENARIOS}"
+                f"unknown scenario '{self.scenario}'; choose one of {tuple(SCENARIOS)}"
             )
         bad = [a for a in self.arms if a not in ARMS]
         if bad or not self.arms:
@@ -107,6 +116,8 @@ class ExperimentConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.n_labels > MAX_LABELS:
+            raise ConfigError(f"n_labels must be <= {MAX_LABELS}, got {self.n_labels}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2: batch statistics need two rows")
         if self.warmup_epochs < 0 or self.pretrain_epochs < 0:
@@ -118,15 +129,16 @@ class ExperimentConfig:
             raise ConfigError("uncertain_rate must lie in [0, 1)")
         if self.shift_magnitude < 0 or self.noise_std < 0:
             raise ConfigError("shift_magnitude and noise_std must be >= 0")
-        if self.scenario in ("iid_partial", "non_iid_partial") and self.n_labels != 14:
+        shifted, (node0, node1, views) = SCENARIOS[self.scenario]
+        stop = max((p.stop for p in (node0, node1, *views.values()) if p is not None), default=1)
+        # a view of every label over sliced node parts needs each label trained
+        exact = None in views.values() and None not in (node0, node1)
+        if self.n_labels < stop or (exact and self.n_labels != stop):
             raise ConfigError(
-                "partial-label scenarios use the fixed 11/7-label overlap "
-                "topology and need n_labels = 14"
+                f"{self.scenario} lays out labels 0..{stop - 1}; n_labels must "
+                f"{'equal' if exact else 'be >='} {stop}, got {self.n_labels}"
             )
-        if self.scenario == "non_iid_complete" and self.n_labels < 7:
-            raise ConfigError("non_iid_complete trains a 7-label subset; "
-                              "n_labels must be >= 7")
-        if self.scenario.startswith("non_iid") and self.shift_magnitude == 0:
+        if shifted and self.shift_magnitude == 0:
             raise ConfigError("non-iid scenarios need a nonzero shift_magnitude")
         self.model_spec()  # the [model] settings must make a network
 
@@ -141,7 +153,7 @@ def node_learning_rates(cfg: "ExperimentConfig") -> tuple[float, float]:
     for both nodes."""
     if cfg.node_lrs is not None:
         return (cfg.node_lrs[0], cfg.node_lrs[1])
-    if cfg.scenario.startswith("non_iid"):
+    if SCENARIOS[cfg.scenario][0]:
         return (cfg.lr, 5.0 * cfg.lr)
     return (cfg.lr, cfg.lr)
 

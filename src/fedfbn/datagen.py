@@ -116,40 +116,25 @@ class LabelModel:
         latent_dim: int,
         rng: RngStream,
         uncertain_rate: float = 0.0,
-        prevalence_bounds: tuple[float, float] = (0.05, 0.6),
-        target_band: tuple[float, float] = (0.05, 0.25),
         label_names: tuple[str, ...] | None = None,
-        max_tries: int = 1000,
     ) -> "LabelModel":
-        """Rejection-sample hyperplanes whose prevalence stays in bounds.
+        """Draw each label's hyperplane ``w`` and its prevalence.
 
-        Proposals aim a prevalence drawn uniformly from ``target_band``
-        (low, disease-style rates keep the all-negative patient stratum
-        populated); each proposal is still checked against
-        ``prevalence_bounds`` and rejected if degenerate.
+        The target prevalence is uniform on 5-25% (low, disease-style rates
+        keep the all-negative patient stratum populated). Under the standard normal latent, ``w . z > c`` holds
+        with probability Phi(-c / |w|), so ``c = Phi^-1(1 - target) |w|``
+        gives exactly the target.
         """
         if label_names is None:
             label_names = tuple(f"label{i:02d}" for i in range(n_labels))
         if len(label_names) != n_labels:
             raise ConfigError("label_names length must equal n_labels")
-        lo, hi = prevalence_bounds
         weights, thresholds = [], []
         for _ in range(n_labels):
-            for attempt in range(max_tries + 1):
-                if attempt == max_tries:
-                    raise DataError(
-                        f"label model rejection failed after {max_tries} tries"
-                    )
-                w = rng.standard_normal(latent_dim)
-                target = target_band[0] + (target_band[1] - target_band[0]) * float(
-                    rng.random()
-                )
-                c = gaussian_quantile(1.0 - target) * float(np.sqrt((w**2).sum()))
-                prev = float(gaussian_cdf(-c / float(np.sqrt((w**2).sum()))))
-                if lo < prev < hi:
-                    weights.append(tuple(float(v) for v in w))
-                    thresholds.append(c)
-                    break
+            w = rng.standard_normal(latent_dim)
+            target = 0.05 + (0.25 - 0.05) * float(rng.random())
+            weights.append(tuple(float(v) for v in w))
+            thresholds.append(gaussian_quantile(1.0 - target) * float(np.sqrt((w**2).sum())))
         return cls(
             weights=tuple(weights),
             thresholds=tuple(thresholds),
@@ -313,21 +298,11 @@ def split_by_patient(ds: Dataset, fractions, rng: RngStream) -> list[Dataset]:
     return _patient_row_split(ds, groups)
 
 
-def _patient_has_positive(ds: Dataset) -> dict[int, bool]:
-    observed_pos = (ds.labels == 1.0) & (ds.mask == 1.0)
-    any_pos_row = observed_pos.any(axis=1)
-    flags: dict[int, bool] = {}
-    for pid, pos in zip(ds.patient_ids.tolist(), any_pos_row.tolist()):
-        flags[pid] = flags.get(pid, False) or pos
-    return flags
-
-
 def make_iid_halves(ds: Dataset, rng: RngStream) -> tuple[Dataset, Dataset]:
     """Stratified 50/50 patient split on the any-positive/all-negative strata."""
-    flags = _patient_has_positive(ds)
-    patients = np.unique(ds.patient_ids)
-    positive = np.array([p for p in patients if flags[int(p)]], dtype=np.int64)
-    negative = np.array([p for p in patients if not flags[int(p)]], dtype=np.int64)
+    has_positive = ((ds.labels == 1.0) & (ds.mask == 1.0)).any(axis=1)
+    positive = np.unique(ds.patient_ids[has_positive])
+    negative = np.setdiff1d(ds.patient_ids, positive)
     if positive.size < 2 or negative.size < 2:
         raise DataError(
             "both the any-positive and all-negative strata need >= 2 patients"

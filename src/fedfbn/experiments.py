@@ -1,6 +1,7 @@
 """The four benchmark scenarios, arm orchestration, and report files.
 
-A scenario fixes datasets, label topology, test sets, and label views:
+A scenario (``config.SCENARIOS``) fixes datasets, label topology, test sets,
+and label views:
 
 * iid_complete      one domain, stratified halves, full labels at both nodes
 * iid_partial       same data, labels pruned to an 11/7 split sharing 4
@@ -30,7 +31,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .checkpoint import atomic_open, save_global
-from .config import ARMS, ExperimentConfig, config_digest, node_learning_rates
+from .config import ARMS, SCENARIOS, ExperimentConfig, config_digest, node_learning_rates
 from .datagen import (
     Dataset,
     DomainSpec,
@@ -97,20 +98,6 @@ class ScenarioData:
         return {name: ds.content_hash() for name, ds in self.parts().items()}
 
 
-# Label layout per scenario: (node0 labels, node1 labels, {view: labels}).
-# A slice picks from the one `label-topology` permutation of the label
-# names; None is every label in name order.
-_PARTIAL = (slice(0, 11), slice(7, 14), {
-    "all": None, "shared": slice(7, 11), "node0": slice(0, 11), "node1": slice(7, 14),
-})
-_LABEL_LAYOUT = {
-    "iid_complete": (None, None, {"all": None}),
-    "iid_partial": _PARTIAL,
-    "non_iid_complete": (slice(0, 7), slice(0, 7), {"shared": slice(0, 7)}),
-    "non_iid_partial": _PARTIAL,
-}
-
-
 def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     """Deterministically construct datasets, label sets, and test views."""
     master = RngStream(cfg.seed)
@@ -157,7 +144,8 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
         )
     )
 
-    if cfg.scenario.startswith("iid"):
+    shifted_nodes, (node0_part, node1_part, view_parts) = SCENARIOS[cfg.scenario]
+    if not shifted_nodes:
         pool = apply_u_zeros(generate(base, label_model, 2 * n, master.child("data:pool")))
         train, val, test = split_by_patient(pool, (0.7, 0.1, 0.2), master.child("split:pool"))
         train0, train1 = make_iid_halves(train, master.child("halves:train"))
@@ -180,7 +168,6 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     perm = master.child("label-topology").permutation(len(names))
     ordered = tuple(names[i] for i in perm)
     pick = lambda part: names if part is None else ordered[part]
-    node0_part, node1_part, view_parts = _LABEL_LAYOUT[cfg.scenario]
     node_labels = [pick(node0_part), pick(node1_part)]
     views = {view: pick(part) for view, part in view_parts.items()}
 

@@ -275,6 +275,26 @@ def test_n_bootstrap_above_the_bound_fails_before_any_training(tiny_config, tmp_
     assert not out.exists()
 
 
+def test_label_count_above_the_cap_is_one_error_line_within_seconds(tiny_config, tmp_path):
+    # one child process; before the cap this config drew labels for ~17 minutes
+    bad = tmp_path / "many_labels.ini"
+    bad.write_text(TINY.replace("n_labels = 6", "n_labels = 10000000"), encoding="utf-8")
+    out = tmp_path / "never"
+    src = os.path.dirname(os.path.dirname(fedfbn.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedfbn.cli", "run", "--config", str(bad), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    assert json.loads(lines[0][len("ERROR "):]) == {
+        "error": "ConfigError", "message": "n_labels must be <= 1000, got 10000000"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**26)])
 def test_seed_override_outside_64_bits_is_one_error_line(tiny_config, tmp_path, capsys, seed):
     out = tmp_path / "never"

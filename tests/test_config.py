@@ -7,6 +7,7 @@ import pytest
 from fedfbn.config import (
     _PARSERS,
     _SECTIONS,
+    MAX_LABELS,
     ExperimentConfig,
     config_digest,
     load_config,
@@ -146,6 +147,34 @@ def test_seed_outside_64_bits_is_refused(seed):
 def test_n_bootstrap_above_the_bound_is_refused(n_bootstrap):
     with pytest.raises(ConfigError, match=r"n_bootstrap must lie in \[100, 100000\]"):
         ExperimentConfig(n_bootstrap=n_bootstrap)
+
+
+@pytest.mark.parametrize(
+    "scenario", ["iid_complete", "iid_partial", "non_iid_complete", "non_iid_partial"])
+def test_scenario_table_keeps_the_label_and_shift_rules(scenario):
+    # the rules as they were written out per scenario before the table
+    def accepted(n_labels, shift):
+        if scenario.endswith("_partial") and n_labels != 14:
+            return False
+        if scenario == "non_iid_complete" and n_labels < 7:
+            return False
+        return not (scenario.startswith("non_iid") and shift == 0)
+
+    for n_labels in range(1, 21):
+        for shift in (0.0, 0.5):
+            try:
+                ExperimentConfig(scenario=scenario, n_labels=n_labels, shift_magnitude=shift)
+            except ConfigError:
+                assert not accepted(n_labels, shift), (n_labels, shift)
+            else:
+                assert accepted(n_labels, shift), (n_labels, shift)
+
+
+def test_n_labels_above_the_cap_is_refused():
+    assert ExperimentConfig(n_labels=MAX_LABELS).n_labels == 1000
+    for n_labels in (MAX_LABELS + 1, 10_000_000):
+        with pytest.raises(ConfigError, match=f"n_labels must be <= 1000, got {n_labels}"):
+            ExperimentConfig(n_labels=n_labels)
 
 
 def test_largest_n_bootstrap_parses():

@@ -8,7 +8,9 @@ an attribute. Dunders (``__all__`` among them) are read by Python itself and
 names in ``__init__.__all__`` are the public API, so both are exempt. A
 dataclass field counts as used when ``src/fedfbn`` reads it as an attribute;
 setting it in a constructor call is not a read. A module-level constant
-counts as used when its name appears outside its own assignment.
+counts as used when its name appears outside its own assignment. A
+parameter with a default counts as used when a call in ``src/fedfbn`` to a
+function or method of its name passes it, by keyword or by position.
 """
 
 import ast
@@ -22,6 +24,14 @@ ALLOWED = {
     # hostile-input tests load those files through it
     "checkpoint.load_global",
 }
+
+
+def package_trees() -> dict:
+    """Module name -> parsed source, for each module of the package."""
+    return {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
 
 
 def names_used(tree) -> Counter:
@@ -67,10 +77,7 @@ def public_api() -> set[str]:
 
 
 def unused_definitions() -> list[str]:
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    trees = package_trees()
     used = sum((names_used(tree) for tree in trees.values()), Counter())
     exempt = public_api()
     unused = []
@@ -96,10 +103,7 @@ def is_dataclass(node) -> bool:
 
 
 def unread_fields() -> list[str]:
-    trees = {
-        path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
-    }
+    trees = package_trees()
     read = {
         node.attr
         for tree in trees.values()
@@ -118,3 +122,63 @@ def unread_fields() -> list[str]:
 
 def test_every_dataclass_field_is_read_in_the_package():
     assert unread_fields() == []
+
+
+# set only by callers outside the package: main() reads sys.argv by default
+UNPASSED_ALLOWED = {"cli.main(argv)"}
+
+
+def defaulted_parameters(module: str, tree):
+    """(label, callee name, parameter, position or None, leading implicit
+    arguments) of each parameter with a default, in each module-level
+    function and method; ``__init__`` is called through its class name."""
+    scopes = [(None, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    scopes += [
+        (cls, item)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for item in cls.body if isinstance(item, ast.FunctionDef)
+    ]
+    for cls, fn in scopes:
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        implicit = 0 if cls is None or static else 1
+        callee = cls.name if fn.name == "__init__" else fn.name
+        label = f"{module}.{cls.name + '.' if cls else ''}{fn.name}"
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            yield label, callee, arg.arg, i, implicit
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield label, callee, arg.arg, None, implicit
+
+
+def passes(call, name: str, position, implicit: int) -> bool:
+    """Whether ``call`` may set the parameter; a ``*`` or ``**`` argument
+    counts as setting every parameter it could reach."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return implicit + len(call.args) > position
+
+
+def unpassed_defaults() -> list[str]:
+    trees = package_trees()
+    calls: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(callee, []).append(node)
+    return [
+        f"{label}({name})"
+        for module, tree in trees.items()
+        for label, callee, name, position, implicit in defaulted_parameters(module, tree)
+        if not any(passes(c, name, position, implicit) for c in calls.get(callee, []))
+    ]
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    assert sorted(unpassed_defaults()) == sorted(UNPASSED_ALLOWED)
