@@ -28,7 +28,7 @@ def _apply_overrides(cfg, args):
     overrides = {}
     if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
-    if getattr(args, "arms", None):
+    if getattr(args, "arms", None) is not None:
         overrides["arms"] = tuple(
             a.strip() for a in args.arms.split(",") if a.strip()
         )

@@ -91,8 +91,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown scenario '{self.scenario}'; choose one of {tuple(SCENARIOS)}"
             )
+        if not self.arms:
+            raise ConfigError(f"arms must name at least one arm; choose from {ARMS}")
         bad = [a for a in self.arms if a not in ARMS]
-        if bad or not self.arms:
+        if bad:
             raise ConfigError(f"unknown arms {bad}; choose from {ARMS}")
         if len(set(self.arms)) != len(self.arms):
             raise ConfigError("duplicate arm names")

@@ -6,9 +6,9 @@ domains built over the same label model therefore share the labeling
 mechanism exactly while their feature distributions differ, which isolates
 the covariate shift that batch-norm statistics absorb.
 
-Labels live in {0, 1, -1} where -1 marks an uncertain positive; masks mark
-which (row, label) entries are observed at all. Splits always move whole
-patients so no patient straddles two splits.
+Labels live in {0, 1}: an uncertain positive is drawn as 0 (the u-zeros
+policy), and masks mark which (row, label) entries are observed at all.
+Splits always move whole patients so no patient straddles two splits.
 """
 
 from __future__ import annotations
@@ -84,7 +84,11 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class LabelModel:
-    """Per-label hyperplanes in latent space; shared across domains."""
+    """Per-label hyperplanes in latent space; shared across domains.
+
+    ``uncertain_rate`` is the chance that a positive is uncertain, which
+    :func:`generate` records as 0.
+    """
 
     weights: tuple[tuple[float, ...], ...]
     thresholds: tuple[float, ...]
@@ -219,51 +223,31 @@ def generate(
 
     Labels are thresholded latent projections, so they are independent of
     the domain's shift and noise. With probability ``uncertain_rate``
-    each positive label is recoded to -1 (uncertain) for all of the
-    patient's images. All masks start at 1.
+    each positive label is uncertain and, under u-zeros, drawn as 0 for
+    all of the patient's images. All masks start at 1.
     """
     if n_patients < 1:
         raise DataError("n_patients must be >= 1")
-    z_stream = rng.child("latent")
-    img_stream = rng.child("images")
-    noise_stream = rng.child("noise")
-    unc_stream = rng.child("uncertain")
-
-    z = z_stream.standard_normal((n_patients, domain.latent_dim))
-    margins = z @ label_model.weight_matrix().T
-    y = (margins > label_model.threshold_vector()).astype(np.float64)
+    z = rng.child("latent").standard_normal((n_patients, domain.latent_dim))
+    positive = z @ label_model.weight_matrix().T > label_model.threshold_vector()
     if label_model.uncertain_rate > 0.0:
-        flips = unc_stream.random(y.shape) < label_model.uncertain_rate
-        y = np.where((y == 1.0) & flips, -1.0, y)
+        positive &= rng.child("uncertain").random(positive.shape) >= label_model.uncertain_rate
 
     lo, hi = domain.images_per_patient
-    counts = img_stream.integers(lo, hi + 1, size=n_patients)
+    counts = rng.child("images").integers(lo, hi + 1, size=n_patients)
     patient_row = np.repeat(np.arange(n_patients), counts)
 
     base = z @ domain.mix_matrix().T
     features = base[patient_row] + domain.shift_vector()
     if domain.noise_std > 0.0:
-        features = features + domain.noise_std * noise_stream.standard_normal(
-            features.shape
-        )
+        features += domain.noise_std * rng.child("noise").standard_normal(features.shape)
 
     return Dataset(
         features=np.ascontiguousarray(features),
-        labels=y[patient_row].copy(),
+        labels=positive[patient_row].astype(np.float64),
         mask=np.ones((patient_row.size, label_model.n_labels)),
         patient_ids=np.asarray(patient_id_start + patient_row, dtype=np.int64),
         label_names=label_model.label_names,
-    )
-
-
-def apply_u_zeros(ds: Dataset) -> Dataset:
-    """Recode uncertain labels (-1) as negatives; masks are untouched."""
-    return Dataset(
-        features=ds.features.copy(),
-        labels=np.where(ds.labels == -1.0, 0.0, ds.labels),
-        mask=ds.mask.copy(),
-        patient_ids=ds.patient_ids.copy(),
-        label_names=ds.label_names,
     )
 
 
@@ -305,7 +289,8 @@ def make_iid_halves(ds: Dataset, rng: RngStream) -> tuple[Dataset, Dataset]:
     negative = np.setdiff1d(ds.patient_ids, positive)
     if positive.size < 2 or negative.size < 2:
         raise DataError(
-            "both the any-positive and all-negative strata need >= 2 patients"
+            f"iid halves need >= 2 patients per stratum, got {positive.size} any-positive and "
+            f"{negative.size} all-negative; lower n_labels or raise n_patients_per_node"
         )
     first: list[np.ndarray] = []
     second: list[np.ndarray] = []

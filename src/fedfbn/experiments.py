@@ -36,7 +36,6 @@ from .datagen import (
     Dataset,
     DomainSpec,
     LabelModel,
-    apply_u_zeros,
     concat_naive,
     generate,
     make_iid_halves,
@@ -124,29 +123,21 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     names = label_model.label_names
     n = cfg.n_patients_per_node
 
-    pretrain = apply_u_zeros(
-        generate(
-            base,
-            source_model,
-            n,
-            master.child("pretrain-data"),
-            patient_id_start=_PID_PRETRAIN,
-        )
+    pretrain = generate(
+        base, source_model, n, master.child("pretrain-data"), patient_id_start=_PID_PRETRAIN
     )
     external_domain = shifted_domain(base, master.child("shift:external"), cfg.shift_magnitude)
-    external = apply_u_zeros(
-        generate(
-            external_domain,
-            label_model,
-            max(2, round(0.4 * n)),
-            master.child("data:external"),
-            patient_id_start=_PID_EXTERNAL,
-        )
+    external = generate(
+        external_domain,
+        label_model,
+        max(2, round(0.4 * n)),
+        master.child("data:external"),
+        patient_id_start=_PID_EXTERNAL,
     )
 
     shifted_nodes, (node0_part, node1_part, view_parts) = SCENARIOS[cfg.scenario]
     if not shifted_nodes:
-        pool = apply_u_zeros(generate(base, label_model, 2 * n, master.child("data:pool")))
+        pool = generate(base, label_model, 2 * n, master.child("data:pool"))
         train, val, test = split_by_patient(pool, (0.7, 0.1, 0.2), master.child("split:pool"))
         train0, train1 = make_iid_halves(train, master.child("halves:train"))
         val0, val1 = make_iid_halves(val, master.child("halves:val"))
@@ -154,12 +145,9 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     else:
         domain0 = shifted_domain(base, master.child("shift:node0"), cfg.shift_magnitude)
         domain1 = shifted_domain(base, master.child("shift:node1"), cfg.shift_magnitude)
-        ds0 = apply_u_zeros(generate(domain0, label_model, n, master.child("data:node0")))
-        ds1 = apply_u_zeros(
-            generate(
-                domain1, label_model, n, master.child("data:node1"),
-                patient_id_start=_PID_NODE1,
-            )
+        ds0 = generate(domain0, label_model, n, master.child("data:node0"))
+        ds1 = generate(
+            domain1, label_model, n, master.child("data:node1"), patient_id_start=_PID_NODE1
         )
         train0, val0, test0 = split_by_patient(ds0, (0.7, 0.1, 0.2), master.child("split:node0"))
         train1, val1, test1 = split_by_patient(ds1, (0.7, 0.1, 0.2), master.child("split:node1"))

@@ -349,11 +349,8 @@ def _check_node_data(node: Node) -> None:
                 f"node {node.node_id} {part_name}: labels/mask shape "
                 f"{part.labels.shape} does not match {want}"
             )
-        if ((part.labels == -1.0) & (part.mask == 1.0)).any():
-            raise DataError(
-                f"node {node.node_id} {part_name}: uncertain labels must be "
-                "recoded (u-zeros) before federated training"
-            )
+        if not np.isin(part.labels[part.mask != 0.0], (0.0, 1.0)).all():
+            raise DataError(f"node {node.node_id} {part_name}: observed labels must be 0 or 1")
 
 
 def local_train_round(node: Node, strategy: Strategy, local_epochs: int) -> float:
@@ -504,8 +501,6 @@ def evaluate_global(
     Every model is scored against the same resamples of ``ds``; one report
     is returned per matrix, in order.
     """
-    labels = tuple(labels)
-    proj = ds.project_labels(labels)
-    if ((proj.labels == -1.0) & (proj.mask == 1.0)).any():
-        raise DataError("evaluation labels must be recoded (u-zeros) first")
-    return bootstrap_ci(scores, proj.labels, proj.mask, list(labels), rng, n_bootstrap)
+    labels = list(labels)
+    idx = ds.label_indices(labels)
+    return bootstrap_ci(scores, ds.labels[:, idx], ds.mask[:, idx], labels, rng, n_bootstrap)

@@ -295,6 +295,42 @@ def test_label_count_above_the_cap_is_one_error_line_within_seconds(tiny_config,
     assert not out.exists()
 
 
+def test_too_many_labels_for_the_iid_strata_is_one_error_line_naming_n_labels(tmp_path):
+    # one child process; 80 patients a node leave the all-negative stratum
+    # nearly empty at 20 labels
+    bad = tmp_path / "strata.ini"
+    bad.write_text(TINY.replace("n_labels = 6", "n_labels = 20"), encoding="utf-8")
+    out = tmp_path / "never"
+    src = os.path.dirname(os.path.dirname(fedfbn.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedfbn.cli", "gen-data", "--config", str(bad), "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    payload = json.loads(lines[0][len("ERROR "):])
+    assert payload["error"] == "DataError"
+    assert "n_labels" in payload["message"] and "n_patients_per_node" in payload["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("arms", ["", ","])
+def test_empty_arm_override_is_one_error_line(tiny_config, tmp_path, capsys, arms):
+    out = tmp_path / "never"
+    code = main(["run", "--config", str(tiny_config), "--out", str(out), "--arms", arms])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    payload = json.loads(lines[0][len("ERROR "):])
+    assert payload["error"] == "ConfigError"
+    assert payload["message"].startswith("arms must name at least one arm")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(10**26)])
 def test_seed_override_outside_64_bits_is_one_error_line(tiny_config, tmp_path, capsys, seed):
     out = tmp_path / "never"

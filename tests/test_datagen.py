@@ -11,7 +11,6 @@ from fedfbn.datagen import (
     Dataset,
     DomainSpec,
     LabelModel,
-    apply_u_zeros,
     concat_naive,
     gaussian_cdf,
     gaussian_quantile,
@@ -102,34 +101,15 @@ def test_generate_prevalence_matches_gaussian_tail():
 
 
 def test_generate_uncertain_recoding():
-    clean = small_dataset(u=0.0)
-    assert not (clean.labels == -1.0).any()
+    # one seed at two rates: the uncertain draw only turns positives into 0
+    clean = small_dataset(seed=12, n_patients=400, u=0.0)
     noisy = small_dataset(seed=12, n_patients=400, u=0.4)
-    assert (noisy.labels == -1.0).any()
-    # uncertainty only ever recodes positives, never negatives
-    fixed = apply_u_zeros(noisy)
-    assert set(np.unique(fixed.labels)) <= {0.0, 1.0}
-
-
-def test_u_zeros_identity_and_idempotence():
-    ds = small_dataset(seed=13)
-    same = apply_u_zeros(ds)
-    assert np.array_equal(same.labels, ds.labels)
-    noisy = small_dataset(seed=14, u=0.3)
-    once = apply_u_zeros(noisy)
-    twice = apply_u_zeros(once)
-    assert np.array_equal(once.labels, twice.labels)
-    assert np.array_equal(once.mask, noisy.mask)
-
-
-def test_u_zeros_single_entry():
-    ds = small_dataset(seed=15)
-    ds.labels[4, 2] = -1.0
-    out = apply_u_zeros(ds)
-    assert out.labels[4, 2] == 0.0
-    expect = ds.labels.copy()
-    expect[4, 2] = 0.0
-    assert np.array_equal(out.labels, expect)
+    assert np.array_equal(clean.features, noisy.features)
+    assert np.array_equal(clean.patient_ids, noisy.patient_ids)
+    changed = clean.labels != noisy.labels
+    assert changed.any()
+    assert (clean.labels[changed] == 1.0).all() and (noisy.labels[changed] == 0.0).all()
+    assert set(np.unique(noisy.labels)) <= {0.0, 1.0}
 
 
 def test_split_by_patient_is_disjoint_partition():
@@ -189,7 +169,7 @@ def test_make_iid_halves_prevalence_close():
 def test_make_iid_halves_needs_both_strata():
     ds = small_dataset(seed=26, n_patients=40)
     ds.labels[:, :] = 1.0  # no all-negative patients left
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="got 40 any-positive and 0 all-negative; lower n_labels"):
         make_iid_halves(ds, RngStream(27))
 
 
@@ -233,7 +213,6 @@ def test_concat_naive_shape_mismatch():
 def test_save_tabular_writes_every_value_exactly():
     ds = small_dataset(seed=34, n_patients=25, u=0.2)
     ds.mask[3, 1] = 0.0
-    assert (ds.labels == -1.0).any()
     buf = io.StringIO()
     save_tabular(ds, buf)
     header, *rows = csv.reader(io.StringIO(buf.getvalue()))
@@ -249,7 +228,6 @@ def test_save_tabular_writes_every_value_exactly():
             want = "" if ds.mask[i, j] == 0.0 else str(int(ds.labels[i, j]))
             assert cell == want, (i, j)
     assert rows[3][1 + d + 1] == ""
-    assert any("-1" in row[1 + d :] for row in rows)
 
 
 def test_shifted_domain_changes_only_offsets():

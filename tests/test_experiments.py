@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fedfbn.experiments as experiments
-from fedfbn.config import ARMS, ExperimentConfig, parse_config
+from fedfbn.config import ARMS, SCENARIOS, ExperimentConfig, parse_config
 from fedfbn.errors import LabelError, NodeFailure, ParseError, ProtocolError
 from fedfbn.experiments import (
     ArmResult,
@@ -145,6 +145,14 @@ def test_build_scenario_is_deterministic():
     assert a == b
     c = build_scenario(tiny_cfg(seed=12)).content_hashes()
     assert a != c
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_scenario_part_holds_only_zeros_and_ones(scenario):
+    # u-zeros happens at the draw: no later step has an uncertain label to recode
+    data = build_scenario(tiny_cfg(scenario=scenario, n_labels=14, uncertain_rate=0.5))
+    for name, ds in data.parts().items():
+        assert set(np.unique(ds.labels)) <= {0.0, 1.0}, name
 
 
 # sha256 of each part of a scenario's layout at a tiny config with 14 labels;

@@ -483,10 +483,16 @@ def test_node_failure_names_node_and_round():
 
 
 def test_federation_rejects_unrecoded_uncertain_labels():
+    for part, label in (("train", -1.0), ("val", 0.5), ("train", float("nan"))):
+        node = make_node(0, ("a",), seed=91)
+        getattr(node, part).labels[0, 0] = label
+        with pytest.raises(DataError, match=f"node 0 {part}: observed labels must be 0 or 1"):
+            run_federation([node], Strategy.FEDAVG, rounds=1)
+    # an unobserved entry is not checked: its mask gives it no weight
     node = make_node(0, ("a",), seed=91)
-    node.train.labels[0, 0] = -1.0
-    with pytest.raises(DataError, match="u-zeros"):
-        run_federation([node], Strategy.FEDAVG, rounds=1)
+    node.val.labels[0, 0] = 0.5
+    node.val.mask[0, 0] = 0.0
+    run_federation([node], Strategy.FEDAVG, rounds=1)
 
 
 def test_run_federation_validates_arguments():
