@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -270,15 +271,13 @@ def split_by_patient(ds: Dataset, fractions, rng: RngStream) -> list[Dataset]:
         raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
     patients = np.unique(ds.patient_ids)
     perm = patients[rng.permutation(patients.size)]
-    bounds = [0]
-    cum = 0.0
-    for f in fractions:
-        cum += f
-        bounds.append(round(cum * patients.size))
+    bounds = [0, *(round(cum * patients.size) for cum in itertools.accumulate(fractions))]
     bounds[-1] = patients.size
-    groups = [perm[bounds[i] : bounds[i + 1]] for i in range(len(fractions))]
-    if any(g.size == 0 for g in groups):
-        raise DataError("split fractions leave an empty patient group")
+    groups = [perm[start:stop] for start, stop in zip(bounds, bounds[1:])]
+    empty = [part for part, g in enumerate(groups, 1) if g.size == 0]
+    if empty:
+        raise DataError(f"split of {patients.size} patients by fractions {fractions} leaves part "
+                        f"{empty[0]} of {len(groups)} empty; raise n_patients_per_node")
     return _patient_row_split(ds, groups)
 
 
@@ -299,9 +298,7 @@ def make_iid_halves(ds: Dataset, rng: RngStream) -> tuple[Dataset, Dataset]:
         cut = (stratum.size + 1) // 2
         first.append(shuffled[:cut])
         second.append(shuffled[cut:])
-    half_a, half_b = _patient_row_split(
-        ds, [np.concatenate(first), np.concatenate(second)]
-    )
+    half_a, half_b = _patient_row_split(ds, [np.concatenate(first), np.concatenate(second)])
     return half_a, half_b
 
 

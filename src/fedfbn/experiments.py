@@ -27,6 +27,7 @@ import itertools
 import json
 import os
 import pickle
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -690,22 +691,28 @@ def _list_of(ok):
     return lambda v: isinstance(v, list) and all(map(ok, v))
 
 
+def _is_word(value) -> bool:
+    """Only [A-Za-z0-9_], the characters ``run`` writes in names: a table cell stays one cell."""
+    return isinstance(value, str) and re.fullmatch(r"\w*", value, re.ASCII) is not None
+
+
 # Every envelope and report key render_tables reads, with what it must hold.
 _ENVELOPE_FIELDS = {
     # the arm names an output file, so it must be a known one
     "arm": (f"one of {list(ARMS)}", lambda v: v in ARMS),
-    **{key: ("a string", lambda v: isinstance(v, str)) for key in ("variant", "test_set", "view")},
+    **{key: ("made of [A-Za-z0-9_]", _is_word) for key in ("variant", "test_set", "view")},
     "report": ("an object", lambda v: isinstance(v, dict)),
 }
 _REPORT_FIELDS = {
     "mean_auroc": ("a number", _is_number),
     "ci95": ("a pair of numbers", lambda v: _list_of(_is_number)(v) and len(v) == 2),
     "n_bootstrap": ("an integer", lambda v: type(v) is int),
-    "undefined_labels": ("a list of strings", _list_of(lambda x: isinstance(x, str))),
+    "undefined_labels": ("a list of names made of [A-Za-z0-9_]", _list_of(_is_word)),
     "per_replicate_means": ("a list of numbers", _list_of(_is_number)),
     "per_label_auroc": (
-        "an object of numbers or nulls",
-        lambda v: isinstance(v, dict) and all(x is None or _is_number(x) for x in v.values()),
+        "an object of numbers or nulls keyed by names made of [A-Za-z0-9_]",
+        lambda v: isinstance(v, dict)
+        and all(_is_word(k) and (x is None or _is_number(x)) for k, x in v.items()),
     ),
 }
 

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConfigError, DataError, ProtocolError, ShapeError
-from .numerics import RngStream, Tensor, batch_stats, check_finite
+from .numerics import RngStream, Tensor, check_finite
 
 REPRESENTATION = "representation"
 HEADS = "heads"
@@ -150,11 +150,12 @@ def _check_input(model: Model, x: Tensor) -> Tensor:
 
 def _forward(model: Model, x: Tensor, use_batch: bool):
     """Run the network: logits, the trunk output, and one record per hidden
-    layer, ``(h_in, pre, mean, xn, inv_std, active)``, for ``backward``.
+    layer, ``(h_in, centered, xn, inv_std, active)``, for ``backward``.
 
     ``use_batch`` (training under NORMAL) normalizes with batch statistics
-    and updates the running estimates; otherwise the running statistics are
-    used and nothing is mutated.
+    (the mean, then the biased variance of the centered input) and updates
+    the running estimates; otherwise the running statistics are used and
+    nothing is mutated.
     """
     x = _check_input(model, x)
     spec = model.spec
@@ -164,21 +165,23 @@ def _forward(model: Model, x: Tensor, use_batch: bool):
     for i in range(len(spec.hidden_dims)):
         pre = h @ p[f"dense{i}/weight"] + p[f"dense{i}/bias"]
         if use_batch:
-            if pre.shape[0] < 2:
-                raise DataError(
-                    "batch normalization with batch statistics needs a "
-                    f"batch of >= 2 rows, got {pre.shape[0]}"
-                )
-            mean, var = batch_stats(pre)
+            n = pre.shape[0]
+            if n < 2:
+                raise DataError(f"batch normalization with batch statistics needs a batch of "
+                                f">= 2 rows, got {n}")
+            mean = np.add.reduce(pre, axis=0) / n
+            centered = pre - mean
+            var = np.add.reduce(centered**2, axis=0) / n
             m = spec.bn_momentum
             p[f"bn{i}/running_mean"] = (1.0 - m) * p[f"bn{i}/running_mean"] + m * mean
             p[f"bn{i}/running_var"] = (1.0 - m) * p[f"bn{i}/running_var"] + m * var
         else:
-            mean, var = p[f"bn{i}/running_mean"], p[f"bn{i}/running_var"]
+            centered = pre - p[f"bn{i}/running_mean"]
+            var = p[f"bn{i}/running_var"]
         inv_std = 1.0 / np.sqrt(var + spec.bn_eps)
-        xn = (pre - mean) * inv_std
+        xn = centered * inv_std
         out = p[f"bn{i}/gamma"] * xn + p[f"bn{i}/beta"]
-        layers.append((h, pre, mean, xn, inv_std, out > 0.0))
+        layers.append((h, centered, xn, inv_std, out > 0.0))
         h = np.maximum(out, 0.0)
 
     # one (n, width) @ (width, 1) product per head, as with separate heads;
@@ -245,39 +248,31 @@ def backward(
     p = model.params
     # Each label as with a separate head: a (width, n) @ (n, 1) weight
     # gradient, a bias sum over one contiguous row, and an outer product added
-    # to the trunk gradient in label order; a reduction over labels may pair
-    # the sums differently and change the last bits. The matmul keeps the
-    # strided dcols: a contiguous copy makes BLAS pick another kernel and
-    # changes bits. The outer products are built in C order, so each add
-    # walks contiguous rows.
+    # to the trunk gradient. The matmul keeps the strided dcols: a contiguous
+    # copy makes BLAS pick another kernel and changes bits. The outer products
+    # are built in C order, so reducing their outer axis adds whole slices in
+    # label order, starting from +0.0, as a loop of per-label adds would.
     dcols = dlogits.T[:, :, None]
     grads: dict[str, Tensor] = {
         HEAD_WEIGHT: np.matmul(trunk.T, dcols)[:, :, 0],
         HEAD_BIAS: np.ascontiguousarray(dlogits.T).sum(axis=1),
     }
-    dh = np.zeros_like(trunk)
-    for outer in np.multiply(dcols, p[HEAD_WEIGHT][:, None, :], order="C"):
-        np.add(dh, outer, out=dh)
+    outers = np.multiply(dcols, p[HEAD_WEIGHT][:, None, :], order="C")
+    dh = np.add.reduce(outers, axis=0, initial=0.0)
 
     for i in reversed(range(len(layers))):
-        h_in, pre, mean, xn, inv_std, active = layers[i]
+        h_in, centered, xn, inv_std, active = layers[i]
         dh = dh * active
 
         gamma = p[f"bn{i}/gamma"]
         if use_batch:
             n = xn.shape[0]
-            dgamma = (dh * xn).sum(axis=0)
-            dbeta = dh.sum(axis=0)
+            grads[f"bn{i}/gamma"] = (dh * xn).sum(axis=0)
+            grads[f"bn{i}/beta"] = dh.sum(axis=0)
             dxn = dh * gamma
-            centered = pre - mean
             dvar = (dxn * centered).sum(axis=0) * (-0.5) * inv_std**3
-            dmean = (
-                -(dxn.sum(axis=0)) * inv_std
-                + dvar * (-2.0 / n) * centered.sum(axis=0)
-            )
+            dmean = -(dxn.sum(axis=0)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=0)
             dpre = dxn * inv_std + dvar * 2.0 * centered / n + dmean / n
-            grads[f"bn{i}/gamma"] = dgamma
-            grads[f"bn{i}/beta"] = dbeta
         else:
             dpre = dh * gamma * inv_std
 

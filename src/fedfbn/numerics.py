@@ -1,7 +1,7 @@
-"""Dense float64 tensor helpers and a splittable deterministic RNG.
+"""The float64 tensor alias, a finiteness check and a splittable deterministic RNG.
 
 Tensors throughout the package are C-contiguous float64 ``numpy`` arrays;
-the helpers here add the shape/finiteness validation the rest of the code
+:func:`check_finite` is the finiteness validation the rest of the code
 relies on. Randomness flows exclusively through :class:`RngStream`, a thin
 wrapper over the counter-based Philox generator keyed by a 64-bit seed.
 Child streams are derived from a parent seed and a string label, never by
@@ -15,7 +15,7 @@ import hashlib
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import DataError
 
 # Annotation alias: every numeric payload in the package is a float64 ndarray.
 Tensor = np.ndarray
@@ -27,22 +27,6 @@ def check_finite(arr: Tensor, context: str) -> None:
     """Raise :class:`DataError` if ``arr`` contains NaN or infinity."""
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{context}: non-finite values encountered")
-
-
-def batch_stats(x: Tensor) -> tuple[Tensor, Tensor]:
-    """Per-feature mean and biased variance of a (batch, features) tensor.
-
-    Variance divides by the batch size and is computed from centered
-    squares, so it is nonnegative by construction.
-    """
-    if x.ndim != 2:
-        raise ShapeError(f"batch_stats expects rank-2 input, got {x.ndim}-d")
-    if x.shape[0] == 0:
-        raise DataError("batch_stats: empty batch")
-    n = x.shape[0]
-    mean = np.add.reduce(x, axis=0) / n
-    var = np.add.reduce((x - mean) ** 2, axis=0) / n
-    return mean, var
 
 
 class RngStream:

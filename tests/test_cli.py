@@ -192,6 +192,18 @@ def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, c
         "NaN replicate mean": (nan_mean, "report.per_replicate_means"),
         "fewer means than replicates": (short, "report.per_replicate_means"),
         "arm names a path": (dict(good, arm="../x"), "'arm'"),
+        # a name must stay one table cell: no comma, quote or line break
+        "view breaks a row": (dict(good, view='all,"x"\nnext'), "'view'"),
+        "variant holds a comma": (dict(good, variant="a,b"), "'variant'"),
+        "test_set holds a quote": (dict(good, test_set='ext"ernal'), "'test_set'"),
+        "undefined label holds a comma": (
+            dict(good, report=dict(good["report"], undefined_labels=["evil,label"])),
+            "'report.undefined_labels'",
+        ),
+        "per-label key holds a comma": (
+            dict(good, report=dict(good["report"], per_label_auroc={"evil,label": 0.5})),
+            "'report.per_label_auroc'",
+        ),
     }
     bad = out / "report_zz_bad.json"
     manifest = json.loads((out / "manifest.json").read_text())
@@ -313,6 +325,28 @@ def test_too_many_labels_for_the_iid_strata_is_one_error_line_naming_n_labels(tm
     payload = json.loads(lines[0][len("ERROR "):])
     assert payload["error"] == "DataError"
     assert "n_labels" in payload["message"] and "n_patients_per_node" in payload["message"]
+    assert not out.exists()
+
+
+def test_empty_patient_split_is_one_error_line_naming_n_patients_per_node(tmp_path, capsys):
+    # 8 patients a node split 0.7 / 0.1 / 0.2 at 6 and 6: no validation patient
+    bad = tmp_path / "split.ini"
+    bad.write_text(
+        TINY.replace("iid_complete", "non_iid_partial")
+        .replace("n_patients_per_node = 80", "n_patients_per_node = 8")
+        .replace("n_labels = 6", "n_labels = 14"),
+        encoding="utf-8",
+    )
+    out = tmp_path / "never"
+    assert main(["gen-data", "--config", str(bad), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
+    payload = json.loads(lines[0][len("ERROR "):])
+    assert payload["error"] == "DataError"
+    assert "n_patients_per_node" in payload["message"], payload
+    assert "8 patients" in payload["message"] and "part 2 of 3" in payload["message"], payload
     assert not out.exists()
 
 

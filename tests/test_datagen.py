@@ -134,7 +134,7 @@ def test_split_by_patient_sizes():
 
 def test_split_by_patient_rejects_empty_parts():
     ds = small_dataset(seed=20, n_patients=3)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="3 patients .* leaves part 2 of 3 empty"):
         split_by_patient(ds, (0.98, 0.01, 0.01), RngStream(21))
     with pytest.raises(ConfigError):
         split_by_patient(ds, (0.5, 0.6), RngStream(21))

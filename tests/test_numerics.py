@@ -6,44 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedfbn.errors import DataError
-from fedfbn.numerics import RngStream, batch_stats, check_finite
-
-
-def test_batch_stats_hand_cases():
-    mean, var = batch_stats(np.array([[1.0], [3.0]]))
-    assert np.array_equal(mean, [2.0])
-    assert np.array_equal(var, [1.0])
-    mean, var = batch_stats(np.array([[5.0, 7.0]]))
-    assert np.array_equal(mean, [5.0, 7.0])
-    assert np.array_equal(var, [0.0, 0.0])
-
-
-def test_batch_stats_matches_two_pass_oracle():
-    x = RngStream(11).standard_normal((64, 8))
-    mean, var = batch_stats(x)
-    want_mean = x.sum(axis=0) / 64.0
-    want_var = ((x - want_mean) ** 2).sum(axis=0) / 64.0
-    assert np.max(np.abs(mean - want_mean)) < 1e-12
-    assert np.max(np.abs(var - want_var)) < 1e-12
-    assert (var >= 0.0).all()
-    assert np.max(np.abs((x - mean).mean(axis=0))) < 1e-12
-
-
-def test_batch_stats_matches_np_mean_bit_for_bit():
-    rng = RngStream(12)
-    for trial in range(300):
-        shape = (int(rng.integers(1, 200)), int(rng.integers(1, 70)))
-        x = (10.0 ** float(rng.integers(-3, 4))) * rng.standard_normal(shape)
-        mean, var = batch_stats(x)
-        want_mean = np.mean(x, axis=0)
-        want_var = np.mean((x - want_mean) ** 2, axis=0)
-        assert mean.tobytes() == want_mean.tobytes(), trial
-        assert var.tobytes() == want_var.tobytes(), trial
-
-
-def test_batch_stats_empty_batch():
-    with pytest.raises(DataError):
-        batch_stats(np.zeros((0, 3)))
+from fedfbn.numerics import RngStream, check_finite
 
 
 def test_check_finite_rejects_nan_and_inf():
