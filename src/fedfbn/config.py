@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 
+from .datagen import split_bounds
 from .errors import ConfigError
 from .network import ModelSpec
 
@@ -30,6 +31,7 @@ SCENARIOS = {
     "non_iid_partial": (True, (slice(0, 11), slice(7, 14), {
         "all": None, "shared": slice(7, 11), "node0": slice(0, 11), "node1": slice(7, 14)})),
 }
+SPLIT_FRACTIONS = (0.7, 0.1, 0.2)  # train, validation, test: every patient split of a scenario
 
 # LabelModel.sample draws the labels one at a time in Python (~50 us each)
 MAX_LABELS = 1000
@@ -142,6 +144,14 @@ class ExperimentConfig:
             )
         if shifted and self.shift_magnitude == 0:
             raise ConfigError("non-iid scenarios need a nonzero shift_magnitude")
+        # iid then halves train and validation: 2 patients of each stratum a half
+        pool = self.n_patients_per_node * (1 if shifted else 2)
+        bounds = split_bounds(pool, SPLIT_FRACTIONS)
+        parts = [stop - start for start, stop in zip(bounds, bounds[1:])]
+        least = [1, 1, 1] if shifted else [4, 4, 1]
+        if any(part < low for part, low in zip(parts, least)):
+            raise ConfigError(f"n_patients_per_node = {self.n_patients_per_node} splits {pool} "
+                              f"patients into parts of {parts}; {self.scenario} needs {least}")
         self.model_spec()  # the [model] settings must make a network
 
     def model_spec(self) -> ModelSpec:

@@ -104,16 +104,6 @@ class LabelModel:
         if not (0.0 <= self.uncertain_rate < 1.0):
             raise ConfigError("uncertain_rate must lie in [0, 1)")
 
-    @property
-    def n_labels(self) -> int:
-        return len(self.label_names)
-
-    def weight_matrix(self) -> Tensor:
-        return np.asarray(self.weights, dtype=np.float64)
-
-    def threshold_vector(self) -> Tensor:
-        return np.asarray(self.thresholds, dtype=np.float64)
-
     @classmethod
     def sample(
         cls,
@@ -132,8 +122,6 @@ class LabelModel:
         """
         if label_names is None:
             label_names = tuple(f"label{i:02d}" for i in range(n_labels))
-        if len(label_names) != n_labels:
-            raise ConfigError("label_names length must equal n_labels")
         weights, thresholds = [], []
         for _ in range(n_labels):
             w = rng.standard_normal(latent_dim)
@@ -230,7 +218,7 @@ def generate(
     if n_patients < 1:
         raise DataError("n_patients must be >= 1")
     z = rng.child("latent").standard_normal((n_patients, domain.latent_dim))
-    positive = z @ label_model.weight_matrix().T > label_model.threshold_vector()
+    positive = z @ np.asarray(label_model.weights).T > np.asarray(label_model.thresholds)
     if label_model.uncertain_rate > 0.0:
         positive &= rng.child("uncertain").random(positive.shape) >= label_model.uncertain_rate
 
@@ -246,20 +234,20 @@ def generate(
     return Dataset(
         features=np.ascontiguousarray(features),
         labels=positive[patient_row].astype(np.float64),
-        mask=np.ones((patient_row.size, label_model.n_labels)),
+        mask=np.ones((patient_row.size, positive.shape[1])),
         patient_ids=np.asarray(patient_id_start + patient_row, dtype=np.int64),
         label_names=label_model.label_names,
     )
 
 
 def _patient_row_split(ds: Dataset, patient_groups) -> list[Dataset]:
-    out = []
-    for group in patient_groups:
-        members = np.isin(ds.patient_ids, group)
-        if not members.any():
-            raise DataError("split produced an empty part")
-        out.append(ds.rows(np.flatnonzero(members)))
-    return out
+    """Each group's rows; every group holds patients of ``ds``, so no part is empty."""
+    return [ds.rows(np.flatnonzero(np.isin(ds.patient_ids, group))) for group in patient_groups]
+
+
+def split_bounds(n: int, fractions) -> list[int]:
+    """Where ``split_by_patient`` cuts ``n`` shuffled patients into parts."""
+    return [0, *(round(cum * n) for cum in itertools.accumulate(fractions[:-1])), n]
 
 
 def split_by_patient(ds: Dataset, fractions, rng: RngStream) -> list[Dataset]:
@@ -271,8 +259,7 @@ def split_by_patient(ds: Dataset, fractions, rng: RngStream) -> list[Dataset]:
         raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
     patients = np.unique(ds.patient_ids)
     perm = patients[rng.permutation(patients.size)]
-    bounds = [0, *(round(cum * patients.size) for cum in itertools.accumulate(fractions))]
-    bounds[-1] = patients.size
+    bounds = split_bounds(patients.size, fractions)
     groups = [perm[start:stop] for start, stop in zip(bounds, bounds[1:])]
     empty = [part for part, g in enumerate(groups, 1) if g.size == 0]
     if empty:

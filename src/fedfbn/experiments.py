@@ -32,7 +32,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .checkpoint import atomic_open, save_global
-from .config import ARMS, SCENARIOS, ExperimentConfig, config_digest, node_learning_rates
+from .config import (ARMS, SCENARIOS, SPLIT_FRACTIONS, ExperimentConfig, config_digest,
+                     node_learning_rates)
 from .datagen import (
     Dataset,
     DomainSpec,
@@ -46,6 +47,7 @@ from .datagen import (
 )
 from .errors import ParseError, ProtocolError, WorkerError
 from .federation import (
+    FederationResult,
     GlobalModel,
     Node,
     RoundReport,
@@ -139,7 +141,7 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
     shifted_nodes, (node0_part, node1_part, view_parts) = SCENARIOS[cfg.scenario]
     if not shifted_nodes:
         pool = generate(base, label_model, 2 * n, master.child("data:pool"))
-        train, val, test = split_by_patient(pool, (0.7, 0.1, 0.2), master.child("split:pool"))
+        train, val, test = split_by_patient(pool, SPLIT_FRACTIONS, master.child("split:pool"))
         train0, train1 = make_iid_halves(train, master.child("halves:train"))
         val0, val1 = make_iid_halves(val, master.child("halves:val"))
         test_sets = {"internal": test, "external": external}
@@ -150,8 +152,8 @@ def build_scenario(cfg: ExperimentConfig) -> ScenarioData:
         ds1 = generate(
             domain1, label_model, n, master.child("data:node1"), patient_id_start=_PID_NODE1
         )
-        train0, val0, test0 = split_by_patient(ds0, (0.7, 0.1, 0.2), master.child("split:node0"))
-        train1, val1, test1 = split_by_patient(ds1, (0.7, 0.1, 0.2), master.child("split:node1"))
+        train0, val0, test0 = split_by_patient(ds0, SPLIT_FRACTIONS, master.child("split:node0"))
+        train1, val1, test1 = split_by_patient(ds1, SPLIT_FRACTIONS, master.child("split:node1"))
         test_sets = {"internal_node0": test0, "internal_node1": test1, "external": external}
 
     perm = master.child("label-topology").permutation(len(names))
@@ -188,10 +190,8 @@ def model_hash(model: Model) -> str:
 
 @dataclass
 class ArmResult:
+    fed: FederationResult | None = None
     reports: dict[tuple[str, str, str], EvalReport] = field(default_factory=dict)
-    round_reports: list[RoundReport] = field(default_factory=list)
-    best_round: int = -1
-    global_model: GlobalModel | None = None
     error: str | None = None
 
 
@@ -263,19 +263,14 @@ def _execute_arm(
         for name in names
     ]
 
-    fed = run_federation(
+    return ArmResult(fed=run_federation(
         nodes,
         strategy,
         rounds=cfg.rounds,
         local_epochs=cfg.local_epochs,
         weighting=Weighting(cfg.weighting),
         on_round=on_round,
-    )
-    return ArmResult(
-        round_reports=fed.reports,
-        best_round=fed.best_round,
-        global_model=fed.best,
-    )
+    ))
 
 
 def _round_progress(arm: str, progress):
@@ -298,15 +293,18 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _forked(tasks: tuple, run, state) -> tuple[list, list]:
+def _forked(costs: dict, run, state) -> tuple[dict, list]:
     """``run`` each task here and in forked workers, one process per usable CPU.
 
-    Each process takes the next task index from one pipe. A worker pickles
-    back the outcomes of the tasks it ran and the ``state()`` of its copy of
-    the shared data, and always ends through ``os._exit``. Returns each
-    task's outcome in task order, a WorkerError saying why for a task whose
-    worker sent back nothing readable, and the workers' states.
+    Tasks go out costliest first, so no long task is left to finish alone;
+    ties keep the order of ``costs``. Each process takes the next task index
+    from one pipe. A worker pickles back the outcomes of the tasks it ran and
+    the ``state()`` of its copy of the shared data, and always ends through
+    ``os._exit``. Returns each task's outcome keyed by the task, a
+    WorkerError saying why for a task whose worker sent back nothing
+    readable, and the workers' states.
     """
+    tasks = sorted(costs, key=costs.__getitem__, reverse=True)
     n_workers = min(len(os.sched_getaffinity(0)), len(tasks)) - 1
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(tasks))))
@@ -348,7 +346,7 @@ def _forked(tasks: tuple, run, state) -> tuple[list, list]:
             outcomes.update(sent)
             states.append(worker_state)
     missing = WorkerError("; ".join(lost))
-    return [outcomes.get(i, missing) for i in range(len(tasks))], states
+    return {task: outcomes.get(i, missing) for i, task in enumerate(tasks)}, states
 
 
 def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
@@ -381,17 +379,16 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
     for name, start in starts.items():
         train = start["train"]
         model = with_heads(backbone, train.label_names, master.child("heads"))
-        if cfg.warmup_epochs > 0:
-            warmup_heads(
-                model,
-                train.features,
-                train.labels,
-                train.mask,
-                epochs=cfg.warmup_epochs,
-                rng=master.child(f"warmup:{name}"),
-                lr=cfg.warmup_lr,
-                batch_size=cfg.batch_size,
-            )
+        warmup_heads(
+            model,
+            train.features,
+            train.labels,
+            train.mask,
+            epochs=cfg.warmup_epochs,
+            rng=master.child(f"warmup:{name}"),
+            lr=cfg.warmup_lr,
+            batch_size=cfg.batch_size,
+        )
         warmed[name] = model
 
     def shared_state() -> tuple[dict[str, str], dict[str, str]]:
@@ -412,15 +409,14 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
             return fail(arm, _error_text(exc))
 
     # An arm costs the training rows it visits per round. The cheapest arm
-    # trains before anything is forked, so the first call into the work is
-    # made by this process alone, and soon; the rest go out longest first,
-    # so no long arm is left to finish alone. Ties keep the order of arms.
+    # (the first such of the arms) trains before anything is forked, so the
+    # first call into the work is made by this process alone, and soon.
     cost = {arm: sum(starts[name]["train"].n for name in _ARM_TABLE[arm][1]) for arm in cfg.arms}
     first = min(cfg.arms, key=cost.get)
     trained = {first: train(first)}
-    rest = tuple(sorted((arm for arm in cfg.arms if arm != first), key=lambda arm: -cost[arm]))
-    outcomes, worker_states = _forked(rest, train, shared_state)
-    trained.update(zip(rest, outcomes))
+    del cost[first]
+    outcomes, worker_states = _forked(cost, train, shared_state)
+    trained.update(outcomes)
     # a dead worker's arms fail here, in the order of arms
     arms = {arm: fail(arm, _error_text(trained[arm])) if isinstance(trained[arm], WorkerError)
             else trained[arm] for arm in cfg.arms}
@@ -438,9 +434,9 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
         for arm, result in arms.items():
             if result.error is not None:
                 continue
-            variants = _bn_variants(result.global_model, test_name)
+            variants = _bn_variants(result.fed.best, test_name)
             try:
-                scored = [score_global(result.global_model, ds, labels, node_id)
+                scored = [score_global(result.fed.best, ds, labels, node_id)
                           for _, node_id in variants]
             except Exception as exc:
                 failures.append((arm, _error_text(exc)))
@@ -460,12 +456,10 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
                 failures.extend((a, _error_text(exc)) for a in dict.fromkeys(a for a, _ in keys))
         return list(zip(keys, reports)), failures
 
-    # A group costs its test rows times its view's labels; like the arms,
-    # the groups go out longest first, ties in group order.
-    groups = tuple(itertools.product(data.test_sets, data.views))
-    by_cost = sorted(groups, key=lambda g: -data.test_sets[g[0]].n * len(data.views[g[1]]))
-    outcomes, eval_states = _forked(by_cost, evaluate, shared_state)
-    outcomes = dict(zip(by_cost, outcomes))
+    # A group costs its test rows times its view's labels.
+    groups = {(test, view): data.test_sets[test].n * len(data.views[view])
+              for test, view in itertools.product(data.test_sets, data.views)}
+    outcomes, eval_states = _forked(groups, evaluate, shared_state)
     # In group order, as one process meets them: an arm keeps its first
     # error and a failed arm keeps no reports. A lost group fails every arm.
     for group in groups:
@@ -609,7 +603,7 @@ def render_tables(envelopes: list[dict]) -> dict[str, str]:
 
 def _rounds_csv(result: ArmResult) -> str:
     lines = ["round,node_id,train_loss,val_loss,mean_val_loss,is_best"]
-    for report in result.round_reports:
+    for report in result.fed.reports:
         for node_id in sorted(report.train_losses):
             lines.append(
                 ",".join(
@@ -656,7 +650,7 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
             continue
         _write(f"rounds_{arm}.csv", _rounds_csv(arm_result))
         ckpt_name = f"global_{arm}.ckpt"
-        save_global(arm_result.global_model, os.path.join(out_dir, ckpt_name))
+        save_global(arm_result.fed.best, os.path.join(out_dir, ckpt_name))
         files.append(ckpt_name)
         for (test_set, view, variant), report in arm_result.reports.items():
             env = _envelope(arm, variant, test_set, view, result.data.views[view], report)
@@ -675,7 +669,7 @@ def emit_reports(result: ExperimentResult, out_dir, config_text: str) -> list[st
         "arm_errors": errors,
         "dataset_hashes": result.dataset_hashes,
         "start_model_hashes": result.start_model_hashes,
-        "best_rounds": {arm: r.best_round for arm, r in result.arms.items() if r.error is None},
+        "best_rounds": {arm: r.fed.best_round for arm, r in result.arms.items() if r.error is None},
         "files": sorted(files),
     }
     _write("manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")

@@ -390,18 +390,17 @@ def pretrain_backbone(
     """
     source_spec = replace(spec, label_names=tuple(source_labels))
     model = init_model(source_spec, rng)
-    if epochs > 0:
-        train_epochs(
-            model,
-            features,
-            labels,
-            mask,
-            epochs=epochs,
-            lr_by_block={REPRESENTATION: lr, HEADS: lr},
-            policy=BnPolicy.NORMAL,
-            batch_size=batch_size,
-            rng=rng.child("pretrain-batches"),
-        )
+    train_epochs(
+        model,
+        features,
+        labels,
+        mask,
+        epochs=epochs,
+        lr_by_block={REPRESENTATION: lr, HEADS: lr},
+        policy=BnPolicy.NORMAL,
+        batch_size=batch_size,
+        rng=rng.child("pretrain-batches"),
+    )
     return Model(
         spec=replace(spec, label_names=()),
         params={k: v for k, v in model.params.items() if key_kind(k) != "head"},
@@ -414,8 +413,6 @@ def with_heads(backbone: Model, labels: tuple[str, ...], rng: RngStream) -> Mode
     Head init streams are keyed by label name, so two nodes calling this
     with the same seed get identical heads for every shared label.
     """
-    if len(set(labels)) != len(labels):
-        raise ConfigError("duplicate labels in head attachment")
     spec = replace(backbone.spec, label_names=tuple(labels))
     return Model(
         spec=spec,

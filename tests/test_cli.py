@@ -329,7 +329,8 @@ def test_too_many_labels_for_the_iid_strata_is_one_error_line_naming_n_labels(tm
 
 
 def test_empty_patient_split_is_one_error_line_naming_n_patients_per_node(tmp_path, capsys):
-    # 8 patients a node split 0.7 / 0.1 / 0.2 at 6 and 6: no validation patient
+    # 8 patients a node split 0.7 / 0.1 / 0.2 at 6 and 6: no validation
+    # patient, which the config sees before any data is drawn
     bad = tmp_path / "split.ini"
     bad.write_text(
         TINY.replace("iid_complete", "non_iid_partial")
@@ -344,10 +345,28 @@ def test_empty_patient_split_is_one_error_line_naming_n_patients_per_node(tmp_pa
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("ERROR "), lines
     payload = json.loads(lines[0][len("ERROR "):])
-    assert payload["error"] == "DataError"
-    assert "n_patients_per_node" in payload["message"], payload
-    assert "8 patients" in payload["message"] and "part 2 of 3" in payload["message"], payload
+    assert payload == {"error": "ConfigError", "message": "n_patients_per_node = 8 splits 8 "
+                       "patients into parts of [6, 0, 2]; non_iid_partial needs [1, 1, 1]"}
     assert not out.exists()
+
+
+def test_import_and_report_leave_numpy_random_unloaded(tiny_config, tmp_path):
+    # the replay path: a fresh process that imports the CLI and re-renders a run dir
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+    src = os.path.dirname(os.path.dirname(fedfbn.cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, fedfbn.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "code = fedfbn.cli.main(['report', '--in', sys.argv[1]])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe, str(out)], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("arms", ["", ","])

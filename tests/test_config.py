@@ -2,12 +2,15 @@
 
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from fedfbn.config import (
     _PARSERS,
     _SECTIONS,
     MAX_LABELS,
+    SCENARIOS,
+    SPLIT_FRACTIONS,
     ExperimentConfig,
     config_digest,
     load_config,
@@ -15,7 +18,9 @@ from fedfbn.config import (
     parse_config,
     render_config,
 )
-from fedfbn.errors import ConfigError
+from fedfbn.datagen import Dataset, split_by_patient
+from fedfbn.errors import ConfigError, DataError
+from fedfbn.numerics import RngStream
 
 
 def test_defaults_match_reference_protocol():
@@ -168,6 +173,34 @@ def test_scenario_table_keeps_the_label_and_shift_rules(scenario):
                 assert not accepted(n_labels, shift), (n_labels, shift)
             else:
                 assert accepted(n_labels, shift), (n_labels, shift)
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_patient_counts_are_refused_exactly_when_the_split_must_fail(scenario):
+    shifted = SCENARIOS[scenario][0]
+
+    def split_fails(n_patients):
+        # one row per patient: split_by_patient sees only the patient count
+        ds = Dataset(features=np.zeros((n_patients, 1)), labels=np.zeros((n_patients, 1)),
+                     mask=np.ones((n_patients, 1)), patient_ids=np.arange(n_patients),
+                     label_names=("a",))
+        try:
+            parts = split_by_patient(ds, SPLIT_FRACTIONS, RngStream(n_patients))
+        except DataError as exc:
+            assert "empty" in str(exc)
+            return True
+        # iid halves train and validation with 2 patients of each stratum a half
+        return not shifted and min(parts[0].n, parts[1].n) < 4
+
+    refused = []
+    for n in range(1, 41):
+        try:
+            ExperimentConfig(scenario=scenario, n_patients_per_node=n, n_labels=14)
+        except ConfigError as exc:
+            assert str(exc).startswith(f"n_patients_per_node = {n} splits "), exc
+            refused.append(n)
+        assert (n in refused) == split_fails(n if shifted else 2 * n), n
+    assert refused == ([1, 2, 3, 4, 5, 8] if shifted else [*range(1, 16), 17, 19])
 
 
 def test_n_labels_above_the_cap_is_refused():

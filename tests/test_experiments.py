@@ -334,6 +334,28 @@ def test_groups_are_evaluated_longest_first(monkeypatch):
         assert list(dict.fromkeys(key[:2] for key in arm_result.reports)) == groups
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_forked_runs_costliest_first_and_keys_outcomes_by_task(monkeypatch, cpus):
+    costs = {"d": 1, "a": 3, "c": 2, "b": 3, "e": 2, "f": 0}
+    order = ["a", "b", "c", "e", "d", "f"]  # by cost, ties in the order of costs
+    calls = []
+
+    def run(task):
+        calls.append(task)
+        return task * costs[task]
+
+    serial = {task: run(task) for task in costs}
+    calls.clear()
+    force_cpus(monkeypatch, cpus)
+    outcomes, states = experiments._forked(costs, run, lambda: "state")
+    assert outcomes == serial
+    assert states == ["state"] * (cpus - 1)
+    # this process takes its tasks in dispatch order; alone, it takes them all
+    assert calls == [task for task in order if task in calls]
+    if cpus == 1:
+        assert calls == order
+
+
 def test_arm_table_names_every_arm_in_config_order():
     assert tuple(experiments._ARM_TABLE) == ARMS
     cfg = tiny_cfg()
@@ -536,7 +558,7 @@ def test_scoring_failure_fails_only_its_arm(tmp_path, monkeypatch):
     def execute(arm, *args):
         result = real_execute(arm, *args)
         if arm == "fedavg":  # the mark travels with the model out of a worker
-            result.global_model.doomed = True
+            result.fed.best.doomed = True
         return result
 
     def score(gm, ds, labels, *rest):

@@ -476,6 +476,13 @@ def test_with_heads_shares_trunk_and_aligns_shared_heads():
     assert backbone.params["dense0/weight"][0, 0] != m0.params["dense0/weight"][0, 0]
 
 
+def test_with_heads_refuses_duplicate_labels():
+    backbone = pretrain_backbone(tiny_spec(), np.zeros((4, 3)), np.zeros((4, 1)), np.ones((4, 1)),
+                                 source_labels=("s",), epochs=0, rng=RngStream(54))
+    with pytest.raises(ConfigError, match="label names must be unique"):
+        with_heads(backbone, ("a", "b", "a"), RngStream(55))
+
+
 def reference_sigmoid(x):
     """The boolean-mask form of the logistic function."""
     out = np.empty_like(x)
