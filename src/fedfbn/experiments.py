@@ -305,7 +305,9 @@ def _forked(costs: dict, run, state) -> tuple[dict, list]:
     readable, and the workers' states.
     """
     tasks = sorted(costs, key=costs.__getitem__, reverse=True)
-    n_workers = min(len(os.sched_getaffinity(0)), len(tasks)) - 1
+    has_affinity = hasattr(os, "sched_getaffinity")  # macOS, for one, has no sched_getaffinity
+    cpus = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
+    n_workers = min(cpus, len(tasks)) - 1
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(tasks))))
     os.close(feed)

@@ -1,20 +1,22 @@
 """Per-label AUROC, bootstrap confidence intervals, and the paired t-test.
 
-AUROC uses the rank form of the Mann-Whitney statistic with average ranks
-for ties. Rank sums are exact multiples of 0.5 well inside the float64
-integer range, so the result is bit-identical to exhaustive pair
-enumeration, ties included.
+AUROC is the Mann-Whitney statistic with ties worth half a pair, and one
+kernel computes it: :func:`per_label_auroc` scores a draw from how often it
+takes each test row. Per call, each label's observed negatives are sorted
+once per model, and ``searchsorted`` places every observed positive among
+them. A draw's Mann-Whitney count is then integer arithmetic on its row
+counts: a running count of drawn negatives in score order, read at each
+positive's two ``searchsorted`` bounds. U is an exact multiple of 0.5 well
+inside the float64 integer range, so the result is bit-identical to
+exhaustive pair enumeration, ties included.
 
-Bootstrap replicates resample test rows with replacement; replicate ``r``
-draws its indices from a stream derived by the label ``boot:r``. One call
-scores every model evaluated on a test set and label view against the same
-draws, so their per-replicate means pair up for the t-test and each
-resample is drawn once, not once per model. A replicate's AUROC depends
-only on how often each row was drawn: per call, each label's observed
-negatives are sorted once per model, and ``searchsorted`` places every
-observed positive among them. A replicate's Mann-Whitney count is then
-integer arithmetic on its draw counts: a running count of drawn negatives
-in score order, read at each positive's two ``searchsorted`` bounds.
+The point estimate is the draw that takes every row once. Bootstrap
+replicates resample test rows with replacement; replicate ``r`` draws its
+indices from a stream derived by the label ``boot:r``. One call scores every
+model evaluated on a test set and label view against the same draws, so
+their per-replicate means pair up for the t-test and each resample is drawn
+once, not once per model. The tests keep the tie-averaged rank form, ranking
+every resample anew, as the oracle.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, MetricError
-from .numerics import RngStream
+from .numerics import RngStream, check_finite
 from .special import student_t_two_tailed
 
 SIGNIFICANCE_LEVEL = 0.05
@@ -33,61 +35,6 @@ _REPORT_SCHEMA_VERSION = 1
 # Bootstrap replicates scored together; bounds the (replicates, rows) count
 # arrays so memory does not grow with n_bootstrap.
 _BOOTSTRAP_BLOCK = 128
-
-
-def auroc(scores, labels) -> float | None:
-    """Area under the ROC curve; ``None`` when only one class is present.
-
-    Tied scores credit half a pair, matching the convention of counting
-    concordant pairs with ties worth 0.5.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.ndim != 1 or scores.shape != labels.shape:
-        raise MetricError("auroc expects matching 1-d scores and labels")
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = scores.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return None
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    boundary = np.empty(s.size + 1, dtype=bool)
-    boundary[0] = True
-    boundary[-1] = True
-    boundary[1:-1] = s[1:] != s[:-1]
-    edges = np.flatnonzero(boundary)
-    starts, ends = edges[:-1], edges[1:]
-    # 1-based ranks within a tie group [start, end) average to (start+1+end)/2.
-    group_rank = (starts + 1 + ends) / 2.0
-    ranks = np.empty(s.size, dtype=np.float64)
-    ranks[order] = np.repeat(group_rank, ends - starts)
-    rank_sum_pos = ranks[pos].sum()
-    u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
-
-
-def per_label_auroc(scores, labels, mask, label_names) -> dict[str, float | None]:
-    """AUROC per label column, restricted to rows observed for that label."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    mask = np.asarray(mask)
-    out: dict[str, float | None] = {}
-    for j, name in enumerate(label_names):
-        rows = mask[:, j] == 1
-        if not rows.any():
-            out[name] = None
-            continue
-        out[name] = auroc(scores[rows, j], labels[rows, j])
-    return out
-
-
-def mean_auroc(per_label: dict[str, float | None]) -> float:
-    """Arithmetic mean over defined labels; undefined labels are excluded."""
-    defined = [v for v in per_label.values() if v is not None]
-    if not defined:
-        raise MetricError("mean_auroc: no label has a defined AUROC")
-    return float(sum(defined) / len(defined))
 
 
 def _nearest_rank(sorted_values: np.ndarray, q: float) -> float:
@@ -131,7 +78,7 @@ def _negatives_below(scores, labels, mask):
     negative: the positive rows; per model, the negative rows in ascending
     score order; and per model and positive, how many of those negatives
     score below it (``lo``) and at most as high (``hi``). Any label value
-    other than 1 under the mask counts as negative, as in :func:`auroc`.
+    other than 1 under the mask counts as negative.
     """
     rows = np.flatnonzero(mask == 1)
     pos = labels[rows] == 1
@@ -143,6 +90,64 @@ def _negatives_below(scores, labels, mask):
     lo = [np.searchsorted(n, s[prow], "left") for n, s in zip(neg, scores)]
     hi = [np.searchsorted(n, s[prow], "right") for n, s in zip(neg, scores)]
     return prow, nord, lo, hi
+
+
+def per_label_auroc(counts, columns, n_models) -> np.ndarray:
+    """AUROC per label, model and draw, from how often each draw takes each row.
+
+    ``counts`` is ``(draws, rows)`` and ``columns`` holds each label's
+    :func:`_negatives_below`. Returns ``(labels, models, draws)``, NaN where
+    the draw leaves the label without a positive or a negative.
+    """
+    out = np.full((len(columns), n_models, len(counts)), np.nan)
+    for j, column in enumerate(columns):
+        if column is None:
+            continue
+        prow, nord, lo, hi = column
+        drawn_pos = counts[:, prow]
+        n_neg = counts[:, nord[0]].sum(axis=1)  # each model's order holds every negative
+        pairs = drawn_pos.sum(axis=1) * n_neg
+        # below[d, k]: drawn negatives among the model's k lowest-scored
+        below = np.zeros((len(counts), nord.shape[1] + 1), dtype=np.int64)
+        for m in range(n_models):
+            np.cumsum(counts[:, nord[m]], axis=1, out=below[:, 1:])
+            # a positive scores one per negative below it and one half per
+            # tied negative: 2U = sum(p * (lo + hi)), exact in integers
+            two_u = (drawn_pos * (below[:, lo[m]] + below[:, hi[m]])).sum(axis=1)
+            # U = 2U / 2 is exact, so the AUROC is U / (n_pos * n_neg) rounded once
+            out[j, m] = (two_u / 2.0) / np.maximum(pairs, 1)
+        out[j][:, pairs == 0] = np.nan
+    return out
+
+
+def _label_means(aucs, draw_names) -> np.ndarray:
+    """Per model and draw, the mean of ``aucs`` ``(labels, models, draws)``
+    over the defined labels, added in label order. Raises naming the first
+    draw, by ``draw_names``, that leaves no label defined."""
+    defined = ~np.isnan(aucs)
+    total = np.zeros(aucs.shape[1:])
+    for auc, ok in zip(aucs, defined):
+        np.add(total, auc, out=total, where=ok)
+    n_defined = defined[:, 0].sum(axis=0)  # the same for every model
+    if not n_defined.all():
+        raise MetricError(f"{draw_names[int(np.argmin(n_defined))]}: no label has a defined AUROC")
+    return total / n_defined
+
+
+def auroc(scores, labels) -> float | None:
+    """Area under the ROC curve of one label; ``None`` when only one class is present.
+
+    Tied scores credit half a pair, matching the convention of counting
+    concordant pairs with ties worth 0.5.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if scores.ndim != 1 or scores.shape != labels.shape:
+        raise MetricError("auroc expects matching 1-d scores and labels")
+    check_finite(scores, "auroc scores")
+    column = _negatives_below(scores[None], labels, np.ones(labels.shape))
+    (value,) = per_label_auroc(np.ones((1, scores.size), dtype=np.int64), [column], 1).flat
+    return None if np.isnan(value) else value
 
 
 def bootstrap_ci(
@@ -160,9 +165,8 @@ def bootstrap_ci(
     model. The reported ``mean_auroc`` is the point estimate on the full
     test set; the CI is the nearest-rank 2.5/97.5 percentile of replicate
     means. A label that degenerates to a single class inside a replicate is
-    dropped from that replicate's mean. For finite scores each model's
-    replicate means equal, bit for bit, those of ranking every resample of
-    its matrix alone with :func:`auroc`.
+    dropped from that replicate's mean. Each model's reports equal, bit for
+    bit, those of ranking its matrix and every resample of it alone.
     """
     if n_bootstrap < 100:
         raise ConfigError(f"n_bootstrap must be >= 100, got {n_bootstrap}")
@@ -176,14 +180,16 @@ def bootstrap_ci(
         )
     if labels.shape[1] != len(label_names):
         raise MetricError("label_names length must match score columns")
+    check_finite(scores, "bootstrap_ci scores")
     n_models, n = scores.shape[:2]
-
-    points = [per_label_auroc(s, labels, mask, label_names) for s in scores]
-    point_means = [mean_auroc(point) for point in points]
 
     columns = [
         _negatives_below(scores[:, :, j], labels[:, j], mask[:, j]) for j in range(labels.shape[1])
     ]
+    # the point estimate is the draw that takes every row once
+    points = per_label_auroc(np.ones((1, n), dtype=np.int64), columns, n_models)
+    point_means = _label_means(points, ["mean_auroc"])[:, 0]
+
     replicate_means = np.empty((n_models, n_bootstrap))
     for first in range(0, n_bootstrap, _BOOTSTRAP_BLOCK):
         block = range(first, min(first + _BOOTSTRAP_BLOCK, n_bootstrap))
@@ -192,40 +198,18 @@ def bootstrap_ci(
         draws = rng.child_integers([f"boot:{r}" for r in block], n, n)
         draws += np.arange(0, len(block) * n, n)[:, None]
         counts = np.bincount(draws.ravel(), minlength=len(block) * n).reshape(len(block), n)
-        total = np.zeros((n_models, len(block)))
-        n_defined = np.zeros(len(block), dtype=np.int64)
-        # label by label, so each replicate sums its AUROCs in label order
-        for column in columns:
-            if column is None:
-                continue
-            prow, nord, lo, hi = column
-            drawn_pos = counts[:, prow]
-            n_neg = counts[:, nord[0]].sum(axis=1)  # each model's order holds every negative
-            pairs = drawn_pos.sum(axis=1) * n_neg
-            defined = pairs > 0
-            pairs = np.maximum(pairs, 1)
-            # below[b, k]: drawn negatives among the model's k lowest-scored
-            below = np.zeros((len(block), nord.shape[1] + 1), dtype=np.int64)
-            for m in range(n_models):
-                np.cumsum(counts[:, nord[m]], axis=1, out=below[:, 1:])
-                # a positive scores one per negative below it and one half per
-                # tied negative: 2U = sum(p * (lo + hi)), exact in integers
-                two_u = (drawn_pos * (below[:, lo[m]] + below[:, hi[m]])).sum(axis=1)
-                # U = 2U / 2 is exact, so this is auroc's u / (n_pos * n_neg) bit for bit
-                auc = (two_u / 2.0) / pairs
-                np.add(total[m], auc, out=total[m], where=defined)
-            n_defined += defined
-        if not n_defined.all():
-            r = block[int(np.argmin(n_defined))]
-            raise MetricError(f"bootstrap replicate {r}: no label has a defined AUROC")
-        replicate_means[:, block.start:block.stop] = total / n_defined
+        replicate_means[:, block.start:block.stop] = _label_means(
+            per_label_auroc(counts, columns, n_models), [f"bootstrap replicate {r}" for r in block]
+        )
 
     reports = []
-    for point, point_mean, means in zip(points, point_means, replicate_means):
+    for point, point_mean, means in zip(points[:, :, 0].T, point_means, replicate_means):
         ordered = np.sort(means)
         reports.append(EvalReport(
-            per_label_auroc=point,
-            mean_auroc=point_mean,
+            per_label_auroc={
+                name: None if np.isnan(v) else v for name, v in zip(label_names, point)
+            },
+            mean_auroc=float(point_mean),
             ci95=(_nearest_rank(ordered, 0.025), _nearest_rank(ordered, 0.975)),
             n_bootstrap=n_bootstrap,
             per_replicate_means=means.tolist(),

@@ -290,8 +290,32 @@ def test_c04_auroc_equals_exhaustive_pair_enumeration():
         got = auroc(raw, labels)
         want = _pair_oracle(raw.tolist(), labels.tolist())
         assert got == want, (case, n, got, want)
-    _verdict(4, True, "rank AUROC == O(n^2) pair enumeration on "
-                      "100 random instances, ties included")
+    # the run's path: bootstrap_ci's point estimates of stacked models on one
+    # test set, with masked rows, labels of -1 (negative), undefined labels
+    # and tie-heavy scores
+    for case in range(30):
+        n, n_labels = int(rng.integers(20, 121)), int(rng.integers(1, 5))
+        u = rng.child(f"Y:{case}").random((n, n_labels))
+        labels = np.where(u < 0.4, 1.0, np.where(u < 0.5, -1.0, 0.0))
+        mask = (rng.child(f"M:{case}").random((n, n_labels)) < 0.85).astype(np.float64)
+        labels[:2, 0], mask[:2, 0] = (1.0, 0.0), 1.0  # label 0 is defined
+        if case % 4 == 0 and n_labels > 1:
+            labels[:, -1] = np.minimum(labels[:, -1], 0.0)  # no positive
+        scores = rng.child(f"S:{case}").random((int(rng.integers(1, 4)), n, n_labels))
+        if case % 3 != 0:
+            scores = np.round(scores * int(rng.integers(2, 12))) / 10.0
+        names = [f"l{j}" for j in range(n_labels)]
+        reports = bootstrap_ci(scores, labels, mask, names, rng.child(f"b:{case}"), 100)
+        for report, matrix in zip(reports, scores):
+            for j, name in enumerate(names):
+                rows = mask[:, j] == 1
+                want = _pair_oracle(matrix[rows, j].tolist(),
+                                    np.where(labels[rows, j] == 1, 1, 0).tolist())
+                got = report.per_label_auroc[name]
+                assert got == want, (case, name, got, want)
+    _verdict(4, True, "AUROC == O(n^2) pair enumeration on 100 random "
+                      "instances and on bootstrap_ci's per-label points of 30 "
+                      "stacked, masked test sets, ties included")
 
 
 # ------------------------------------------- criterion 5: statistics

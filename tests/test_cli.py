@@ -175,6 +175,24 @@ def test_run_prints_a_line_per_round_and_per_arm(tiny_config, tmp_path, capfd, m
     assert all("mean val BCE" in line and "best" in line for line in lines[:6])
 
 
+@pytest.mark.parametrize("cpu_count", [2, None])
+def test_run_without_sched_getaffinity_counts_cpus_with_cpu_count(
+        tiny_config, tmp_path, monkeypatch, cpu_count):
+    # some platforms (macOS) lack os.sched_getaffinity; os.cpu_count may say None
+    want = tmp_path / "want"
+    assert main(["run", "--config", str(tiny_config), "--out", str(want)]) == 0
+    asked = []
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: asked.append(cpu_count) or cpu_count)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0
+    assert asked
+    names = sorted(os.listdir(want))
+    assert sorted(os.listdir(out)) == names
+    for name in names:
+        assert (out / name).read_bytes() == (want / name).read_bytes(), name
+
+
 def test_report_on_malformed_envelope_is_one_error_line(tiny_config, tmp_path, capsys):
     out = tmp_path / "run_out"
     assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 0

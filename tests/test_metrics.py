@@ -9,18 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rank_auroc
 from fedfbn import metrics
-from fedfbn.errors import ConfigError, MetricError
-from fedfbn.metrics import (
-    EvalReport,
-    auroc,
-    bootstrap_ci,
-    mean_auroc,
-    paired_ttest,
-    per_label_auroc,
-)
+from fedfbn.errors import ConfigError, DataError, MetricError
+from fedfbn.metrics import EvalReport, auroc, bootstrap_ci, paired_ttest
 from fedfbn.numerics import RngStream
 from fedfbn.special import student_t_two_tailed
+from rank_auroc import mean_auroc, per_label_auroc
 
 mpmath.mp.dps = 50
 
@@ -64,7 +59,9 @@ def test_auroc_matches_pair_oracle_with_ties():
             labels[-1] = 0.0
         # quantized scores force plenty of exact ties
         scores = np.round(rng.random(n), 1)
-        assert auroc(scores, labels) == pair_count_auroc(scores, labels)
+        want = pair_count_auroc(scores, labels)
+        assert auroc(scores, labels) == want
+        assert rank_auroc.auroc(scores, labels) == want
 
 
 def test_auroc_monotone_transform_invariance():
@@ -84,28 +81,54 @@ def test_auroc_flip_symmetry():
     assert abs(auroc(scores, labels) + auroc(-scores, labels) - 1.0) < 1e-12
 
 
-def test_mean_auroc_rules():
-    assert mean_auroc({"a": 0.8, "b": 0.6}) == pytest.approx(0.7)
-    assert mean_auroc({"a": 0.8, "b": None}) == 0.8
-    assert mean_auroc({"a": 0.9}) == 0.9
-    with pytest.raises(MetricError):
-        mean_auroc({"a": None, "b": None})
-
-
-def test_per_label_auroc_respects_mask():
-    scores = np.array([[0.9, 0.2], [0.1, 0.8], [0.7, 0.5]])
-    labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    mask = np.array([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
-    out = per_label_auroc(scores, labels, mask, ["a", "b"])
-    # column a sees only rows 0 and 1 -> perfect ranking
-    assert out["a"] == 1.0
-    assert out["b"] == pair_count_auroc([0.2, 0.8, 0.5], [0, 1, 1])
-
-
 def bootstrap_one(scores, *args):
     """``bootstrap_ci`` on one model's ``(rows, labels)`` score matrix."""
     (report,) = bootstrap_ci(np.asarray(scores)[None], *args)
     return report
+
+
+def test_mean_auroc_rules():
+    # one positive above 4 (label a) and 3 (label b) of 5 negatives, ten times
+    # over: AUROC 0.8 and 0.6, and every replicate draws a positive
+    scores = np.tile([[0.5, 0.35], [0.1, 0.1], [0.2, 0.2], [0.3, 0.3], [0.4, 0.4], [0.9, 0.9]],
+                     (10, 1))
+    labels = np.tile([[1.0, 1.0]] + [[0.0, 0.0]] * 5, (10, 1))
+    mask = np.ones_like(labels)
+
+    def point(scores, labels, mask, names):
+        report = bootstrap_one(scores, labels, mask, names, RngStream(1), 100)
+        return report.per_label_auroc, report.mean_auroc
+
+    assert point(scores, labels, mask, ["a", "b"]) == ({"a": 0.8, "b": 0.6}, (0.8 + 0.6) / 2)
+    # an undefined label is left out of the mean
+    mask[:, 1] = 0.0
+    assert point(scores, labels, mask, ["a", "b"]) == ({"a": 0.8, "b": None}, 0.8)
+    assert point(scores[:, :1], labels[:, :1], mask[:, :1], ["a"]) == ({"a": 0.8}, 0.8)
+    with pytest.raises(MetricError, match="^mean_auroc: no label has a defined AUROC$"):
+        point(scores, np.zeros_like(labels), mask, ["a", "b"])
+
+
+def test_per_label_auroc_respects_mask():
+    # each column hides a row that would lower its AUROC to 2/3 and 1/2
+    scores = np.tile([[0.9, 0.2], [0.1, 0.8], [0.95, 0.5], [0.3, 0.9]], (10, 1))
+    labels = np.tile([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0], [0.0, 0.0]], (10, 1))
+    mask = np.tile([[1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]], (10, 1))
+    out = bootstrap_one(scores, labels, mask, ["a", "b"], RngStream(2), 100).per_label_auroc
+    assert out == {"a": 1.0, "b": 1.0}
+    for j, name in enumerate(["a", "b"]):
+        rows = mask[:, j] == 1
+        assert out[name] == pair_count_auroc(scores[rows, j], labels[rows, j])
+        assert pair_count_auroc(scores[:, j], labels[:, j]) == [2 / 3, 0.5][j]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_scores_are_refused(bad):
+    scores, labels, mask = _toy_eval(40, 8)
+    scores[[3, 17, 20, 21, 30, 39], 1] = bad
+    with pytest.raises(DataError, match="^bootstrap_ci scores: non-finite values encountered$"):
+        bootstrap_one(scores, labels, mask, ["x", "y", "z"], RngStream(1), 100)
+    with pytest.raises(DataError, match="^auroc scores: non-finite values encountered$"):
+        auroc(scores[:, 1], labels[:, 1])
 
 
 def _toy_eval(n, seed, flip=0.1):
