@@ -32,8 +32,6 @@ def gaussian_cdf(x: float) -> float:
 
 def gaussian_quantile(q: float) -> float:
     """Inverse standard normal CDF by bisection (deterministic, ~1e-13)."""
-    if not (0.0 < q < 1.0):
-        raise DataError(f"quantile argument must lie in (0, 1), got {q}")
     lo, hi = -9.0, 9.0
     for _ in range(90):
         mid = 0.5 * (lo + hi)
@@ -215,8 +213,6 @@ def generate(
     each positive label is uncertain and, under u-zeros, drawn as 0 for
     all of the patient's images. All masks start at 1.
     """
-    if n_patients < 1:
-        raise DataError("n_patients must be >= 1")
     z = rng.child("latent").standard_normal((n_patients, domain.latent_dim))
     positive = z @ np.asarray(label_model.weights).T > np.asarray(label_model.thresholds)
     if label_model.uncertain_rate > 0.0:
@@ -253,10 +249,6 @@ def split_bounds(n: int, fractions) -> list[int]:
 def split_by_patient(ds: Dataset, fractions, rng: RngStream) -> list[Dataset]:
     """Partition whole patients by the given positive fractions (sum 1)."""
     fractions = [float(f) for f in fractions]
-    if len(fractions) < 2 or any(f <= 0 for f in fractions):
-        raise ConfigError("fractions must be >= 2 positive values")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ConfigError(f"fractions must sum to 1, got {sum(fractions)}")
     patients = np.unique(ds.patient_ids)
     perm = patients[rng.permutation(patients.size)]
     bounds = split_bounds(patients.size, fractions)
@@ -294,10 +286,6 @@ def concat_naive(a: Dataset, b: Dataset) -> Dataset:
 
     Entries a source never observed get mask 0; no label harmonization.
     """
-    if a.feature_dim != b.feature_dim:
-        raise ShapeError(
-            f"feature_dim mismatch: {a.feature_dim} vs {b.feature_dim}"
-        )
     union = list(a.label_names) + [n for n in b.label_names if n not in a.label_names]
     n_out = a.n + b.n
     labels = np.zeros((n_out, len(union)))

@@ -99,28 +99,8 @@ def _weights(bundles: list[ParameterBundle], weighting: Weighting) -> dict[int, 
     if weighting is Weighting.UNIFORM:
         w = 1.0 / len(bundles)
         return {b.node_id: w for b in bundles}
-    total = 0
-    for b in bundles:
-        if b.sample_count < 1:
-            raise ConfigError(f"by_samples weighting needs sample_count >= 1 (node {b.node_id})")
-        total += b.sample_count
+    total = sum(b.sample_count for b in bundles)
     return {b.node_id: b.sample_count / total for b in bundles}
-
-
-def _validate_bundles(bundles: list[ParameterBundle]) -> list[ParameterBundle]:
-    if not bundles:
-        raise ProtocolError("aggregate needs at least one bundle")
-    ordered = sorted(bundles, key=lambda b: b.node_id)
-    ids = [b.node_id for b in ordered]
-    if len(set(ids)) != len(ids):
-        raise ProtocolError(f"duplicate node ids in bundles: {ids}")
-    rounds = {b.round_index for b in ordered}
-    if len(rounds) != 1:
-        raise ProtocolError(f"bundles span multiple rounds: {sorted(rounds)}")
-    trunk_keys = [tuple(k for k in b.entries if key_kind(k) != "head") for b in ordered]
-    if any(keys != trunk_keys[0] for keys in trunk_keys[1:]):
-        raise ProtocolError("representation layer sets differ across bundles")
-    return ordered
 
 
 # Aggregation rules. Each combines one key across the bundles that hold it
@@ -131,10 +111,6 @@ def _weighted_sum(tensors: list[Tensor], weights: list[float]) -> Tensor:
     """Multiply-accumulate in list order."""
     acc = weights[0] * tensors[0]
     for w, tensor in zip(weights[1:], tensors[1:]):
-        if tensor.shape != tensors[0].shape:
-            raise ShapeError(
-                f"tensor shape mismatch across nodes: {tensor.shape} vs {tensors[0].shape}"
-            )
         acc = acc + w * tensor
     return acc
 
@@ -292,7 +268,7 @@ def aggregate(
     weighting: Weighting = Weighting.UNIFORM,
 ) -> GlobalModel:
     """Combine one round's bundles into a global model."""
-    ordered = _validate_bundles(bundles)
+    ordered = sorted(bundles, key=lambda b: b.node_id)
     weights = _weights(ordered, weighting)
     rules = RULES[strategy]
 

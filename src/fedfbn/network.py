@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ProtocolError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .numerics import RngStream, Tensor, check_finite
 
 REPRESENTATION = "representation"
@@ -166,9 +166,6 @@ def _forward(model: Model, x: Tensor, use_batch: bool):
         pre = h @ p[f"dense{i}/weight"] + p[f"dense{i}/bias"]
         if use_batch:
             n = pre.shape[0]
-            if n < 2:
-                raise DataError(f"batch normalization with batch statistics needs a batch of "
-                                f">= 2 rows, got {n}")
             mean = np.add.reduce(pre, axis=0) / n
             centered = pre - mean
             var = np.add.reduce(centered**2, axis=0) / n
@@ -203,8 +200,6 @@ def masked_bce(probs: Tensor, labels: Tensor, mask: Tensor) -> float:
     Probabilities are clamped to [1e-7, 1 - 1e-7] inside the logs only.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != labels.shape or probs.shape != mask.shape:
-        raise ShapeError("probs, labels, and mask must share a shape")
     n_masked = float(mask.sum())
     if n_masked == 0:
         raise DataError("masked_bce: mask selects no entries")
@@ -236,8 +231,6 @@ def backward(
     mask = np.asarray(mask, dtype=np.float64)
     use_batch = policy is BnPolicy.NORMAL
     logits, trunk, layers = _forward(model, x, use_batch)
-    if labels.shape != logits.shape or mask.shape != logits.shape:
-        raise ShapeError("labels/mask shape must be (batch, n_labels)")
     probs = sigmoid(logits)
     loss = masked_bce(probs, labels, mask)
 
@@ -286,9 +279,6 @@ def backward(
 
 def sgd_step(model: Model, grads: dict[str, Tensor], lr_by_block: dict[str, float]) -> None:
     """In-place SGD update; a block with lr == 0 is skipped exactly."""
-    for block in (REPRESENTATION, HEADS):
-        if block not in lr_by_block:
-            raise ConfigError(f"lr_by_block missing '{block}'")
     rep_lr, head_lr = lr_by_block[REPRESENTATION], lr_by_block[HEADS]
     cut = len(_HEAD_PREFIX)
     for key, g in grads.items():
@@ -296,12 +286,7 @@ def sgd_step(model: Model, grads: dict[str, Tensor], lr_by_block: dict[str, floa
         lr = head_lr if key[:cut] == _HEAD_PREFIX else rep_lr
         if lr == 0.0:
             continue
-        param = model.params.get(key)
-        if param is None:
-            raise ProtocolError(f"gradient for unknown parameter '{key}'")
-        if param.shape != g.shape:
-            raise ShapeError(f"gradient shape {g.shape} != parameter shape {param.shape} at {key}")
-        param -= lr * g
+        model.params[key] -= lr * g
 
 
 def train_epochs(
@@ -321,8 +306,6 @@ def train_epochs(
     row is dropped so batch statistics stay defined and every strategy
     sees the same step count.
     """
-    if epochs < 0:
-        raise ConfigError("epochs must be >= 0")
     if batch_size < 2:
         raise ConfigError("batch_size must be >= 2")
     n = features.shape[0]

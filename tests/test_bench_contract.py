@@ -5,7 +5,8 @@ caller looks it up, and its counters read named arguments of the wrapped
 call; ``bench/child.py`` marks the first call into ``run_federation`` or
 ``load_envelopes``. A rename or a renamed parameter crashes a traced
 benchmark run, so these tests fail first. A set-up probe ends the process
-at that first call, so it must come before any worker process exists.
+at that first call, so it must come before any worker process exists; a
+``report`` child that never makes that call fails the replay workload.
 """
 
 import contextlib
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import fedfbn.cli
 import fedfbn.experiments
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -106,3 +108,21 @@ def test_setup_probe_exits_alone_at_the_first_arm(tmp_path):
         proc.wait()
         with contextlib.suppress(ProcessLookupError):
             os.killpg(proc.pid, signal.SIGKILL)
+
+
+def test_report_child_marks_its_first_call_and_rewrites_the_tables(tmp_path, monkeypatch):
+    config, out, mark = tmp_path / "three_arms.ini", tmp_path / "out", tmp_path / "MARK.json"
+    config.write_text(THREE_ARMS, encoding="utf-8")
+    # two usable CPUs, so the run forks at most one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert fedfbn.cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    want = {path.name: path.read_bytes() for path in out.iterdir()}
+    tables = fedfbn.experiments.render_tables(fedfbn.experiments.load_envelopes(out))
+    for name in tables:
+        (out / name).unlink()
+    cmd = [sys.executable, str(ROOT / "bench" / "child.py"), "--src", str(ROOT / "src"),
+           "--mark", str(mark), "--", "report", "--in", str(out)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert isinstance(json.loads(mark.read_text(encoding="utf-8"))["first_work_call"], float)
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == want

@@ -360,19 +360,6 @@ def test_aggregate_is_order_free_and_fbn_carries_bn(strategy, weighting, nodes, 
                 assert gm.params[key].tobytes() == b.entries[key].tobytes(), key
 
 
-def test_aggregate_validates_bundles():
-    b0, b1 = bundles_pair()
-    with pytest.raises(ProtocolError):
-        aggregate([], Strategy.FEDAVG, SPEC)
-    dup = copy.deepcopy(b0)
-    with pytest.raises(ProtocolError, match="duplicate"):
-        aggregate([b0, dup], Strategy.FEDAVG, SPEC)
-    late = copy.deepcopy(b1)
-    late.round_index = 3
-    with pytest.raises(ProtocolError, match="rounds"):
-        aggregate([b0, late], Strategy.FEDAVG, SPEC)
-
-
 def test_single_node_federation_equals_local_training():
     node = make_node(0, ("a", "b"), seed=31)
     mirror = copy.deepcopy(node.model)
@@ -503,6 +490,30 @@ def test_run_federation_validates_arguments():
         run_federation([node], Strategy.FEDAVG, rounds=1, local_epochs=0)
     with pytest.raises(ConfigError):
         run_federation([], Strategy.FEDAVG, rounds=1)
+
+
+def test_run_federation_refuses_duplicate_ids_and_differing_trunks():
+    n0 = make_node(0, ("a",), seed=96)
+    with pytest.raises(ProtocolError, match=r"duplicate node ids: \[0, 0\]"):
+        run_federation([n0, make_node(0, ("b",), seed=97)], Strategy.FEDAVG, rounds=1)
+    wide = make_node(1, ("a",), seed=98)
+    wide.model = init_model(ModelSpec(4, (6, 3), ("a",)), RngStream(7))
+    with pytest.raises(ProtocolError, match="node 1 model spec differs from node 0"):
+        run_federation([n0, wide], Strategy.FEDAVG, rounds=1)
+
+
+@pytest.mark.parametrize("case, cause", [("batch_size", ConfigError), ("one_row", DataError)])
+def test_run_federation_fails_a_node_that_cannot_form_a_batch(case, cause):
+    node = make_node(0, ("a",), seed=99)
+    if case == "batch_size":
+        node.batch_size = 1
+    else:
+        for name in ("features", "labels", "mask"):
+            setattr(node.train, name, getattr(node.train, name)[:1])
+    with pytest.raises(NodeFailure, match="node 0 failed in round 0") as info:
+        run_federation([node, make_node(1, ("a",), seed=100)], Strategy.FEDAVG, rounds=1)
+    assert (info.value.node_id, info.value.round_index) == (0, 0)
+    assert isinstance(info.value.__cause__, cause)
 
 
 def overfit_setup(seed=101):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedfbn.errors import ConfigError, DataError, ProtocolError, ShapeError
+from fedfbn.errors import ConfigError, DataError
 from fedfbn.network import (
     BnPolicy,
     ModelSpec,
@@ -115,15 +115,6 @@ def test_train_normal_updates_running_stats_exactly():
     # batch mean 2, biased variance 1
     assert model.params["bn0/running_mean"][0] == (1.0 - mom) * 0.0 + mom * 2.0
     assert model.params["bn0/running_var"][0] == (1.0 - mom) * 1.0 + mom * 1.0
-
-
-def test_train_normal_rejects_single_row_batch():
-    model = unit_chain_model()
-    with pytest.raises(DataError):
-        backward(
-            model, np.array([[1.0]]), np.array([[1.0]]), np.ones((1, 1)),
-            BnPolicy.NORMAL,
-        )
 
 
 def test_train_normal_batch_stats_match_np_mean_bit_for_bit():
@@ -295,17 +286,6 @@ def test_sgd_step_hand_case_and_zero_lr():
     assert all(np.array_equal(before[k], after[k]) for k in before)
 
 
-def test_sgd_step_rejects_unknown_key_and_wrong_shape():
-    model = unit_chain_model()
-    lrs = {"representation": 0.1, "heads": 0.1}
-    with pytest.raises(ProtocolError, match="heads/z"):
-        sgd_step(model, {"heads/z": np.zeros((1, 1))}, lrs)
-    with pytest.raises(ShapeError, match="dense0/weight"):
-        sgd_step(model, {"dense0/weight": np.zeros((2, 1))}, lrs)
-    # a zero-lr block is skipped before any check
-    sgd_step(model, {"heads/z": np.zeros(3)}, dict(lrs, heads=0.0))
-
-
 def test_sgd_step_block_selectivity():
     spec = tiny_spec()
     model = init_model(spec, RngStream(25))
@@ -319,8 +299,6 @@ def test_sgd_step_block_selectivity():
             assert not np.array_equal(before[key], after[key])
         else:
             assert np.array_equal(before[key], after[key])
-    with pytest.raises(ConfigError):
-        sgd_step(model, grads, {"heads": 1e-3})
 
 
 def test_train_epochs_frozen_keeps_bn_bit_identical():

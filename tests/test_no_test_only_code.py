@@ -10,7 +10,9 @@ dataclass field counts as used when ``src/fedfbn`` reads it as an attribute;
 setting it in a constructor call is not a read. A module-level constant
 counts as used when its name appears outside its own assignment. A
 parameter with a default counts as used when a call in ``src/fedfbn`` to a
-function or method of its name passes it, by keyword or by position.
+function or method of its name passes it, by keyword or by position. A
+name a module imports counts as used when the module reads it or lists it
+in its ``__all__``.
 """
 
 import ast
@@ -68,12 +70,18 @@ def definitions(module: str, tree):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
-def public_api() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+def exported(tree) -> set[str]:
+    """The names a module's ``__all__`` lists; empty when it has none."""
     for node in tree.body:
-        if isinstance(node, ast.Assign) and node.targets[0].id == "__all__":
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
             return set(ast.literal_eval(node.value))
-    raise AssertionError("__init__.py has no __all__")
+    return set()
+
+
+def public_api() -> set[str]:
+    names = exported(package_trees()["__init__"])
+    assert names, "__init__.py has no __all__"
+    return names
 
 
 def unused_definitions() -> list[str]:
@@ -182,3 +190,26 @@ def unpassed_defaults() -> list[str]:
 
 def test_every_defaulted_parameter_is_passed_in_the_package():
     assert sorted(unpassed_defaults()) == sorted(UNPASSED_ALLOWED)
+
+
+def imported_names(tree):
+    """Each name an import in ``tree`` binds; ``from __future__`` binds none."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for module, tree in package_trees().items():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= exported(tree)
+        unused += [f"{module}.{name}" for name in imported_names(tree) if name not in read]
+    return unused
+
+
+def test_every_imported_name_is_used_in_its_module():
+    assert unused_imports() == []
