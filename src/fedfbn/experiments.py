@@ -28,6 +28,7 @@ import json
 import os
 import pickle
 import re
+import signal
 import sys
 from dataclasses import dataclass, field
 
@@ -58,7 +59,7 @@ from .federation import (
     score_global,
 )
 from .metrics import EvalReport, paired_ttest
-from .network import Model, pretrain_backbone, warmup_heads, with_heads
+from .network import BnPolicy, Model, pretrain_backbone, warmup_heads, with_heads
 from .numerics import RngStream
 
 REPORT_PREFIX = "report_"
@@ -293,29 +294,47 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _forked(costs: dict, run, state) -> tuple[dict, list]:
+# bytes of one task index in _forked's queue; the queue is written whole before
+# any fork, so it holds up to a pipe buffer of them (16,384 at Linux's 64 KiB)
+_INDEX_BYTES = 4
+
+
+def _forked(costs: dict, run, state, lead=None) -> tuple[dict, list]:
     """``run`` each task here and in forked workers, one process per usable CPU.
 
     Tasks go out costliest first, so no long task is left to finish alone;
     ties keep the order of ``costs``. Each process takes the next task index
-    from one pipe. A worker pickles back the outcomes of the tasks it ran and
+    from one pipe. With ``lead``, this process takes the costliest task
+    before any worker exists and runs it as ``lead(task, fork)``; the workers
+    fork when it calls ``fork()``, or once it returns. Without ``lead`` they
+    fork at once. A worker pickles back the outcomes of the tasks it ran and
     the ``state()`` of its copy of the shared data, and always ends through
     ``os._exit``. Returns each task's outcome keyed by the task, a
     WorkerError saying why for a task whose worker sent back nothing
-    readable, and the workers' states.
+    readable, and the workers' states. An exception out of this process's
+    own tasks kills and reaps the workers before it goes on.
     """
     tasks = sorted(costs, key=costs.__getitem__, reverse=True)
     has_affinity = hasattr(os, "sched_getaffinity")  # macOS, for one, has no sched_getaffinity
     cpus = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count() or 1
     n_workers = min(cpus, len(tasks)) - 1
     queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(tasks))))
+    os.write(feed, b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(tasks))))
     os.close(feed)
-    sys.stdout.flush()  # or a worker repeats what is still buffered
-    # empty until every worker is forked, so a worker sends only its own
     outcomes: dict[int, object] = {}
     workers, states, lost = [], [], []
-    try:
+    forked = False
+
+    def take() -> int | None:
+        index = os.read(queue, _INDEX_BYTES)
+        return int.from_bytes(index, "little") if index else None
+
+    def fork() -> None:
+        nonlocal forked
+        if forked:  # in a worker too: it is a copy made after this was set
+            return
+        forked = True
+        sys.stdout.flush()  # or a worker repeats what is still buffered
         for _ in range(n_workers):
             result_r, result_w = os.pipe()
             pid = os.fork()
@@ -323,30 +342,42 @@ def _forked(costs: dict, run, state) -> tuple[dict, list]:
                 code = 1
                 try:
                     os.close(result_r)
-                    while index := os.read(queue, 1):
-                        outcomes[index[0]] = run(tasks[index[0]])
+                    sent = {}
+                    while (index := take()) is not None:
+                        sent[index] = run(tasks[index])
                     with open(result_w, "wb") as fh:
-                        pickle.dump((outcomes, state()), fh)
+                        pickle.dump((sent, state()), fh)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(result_w)
             workers.append((pid, result_r))
-        while index := os.read(queue, 1):
-            outcomes[index[0]] = run(tasks[index[0]])
+
+    try:
+        if lead is not None and (index := take()) is not None:
+            outcomes[index] = lead(tasks[index], fork)
+        fork()
+        while (index := take()) is not None:
+            outcomes[index] = run(tasks[index])
+    except BaseException:
+        for pid, result_r in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(result_r)
+        raise
     finally:
         os.close(queue)
-        for pid, result_r in workers:
-            with open(result_r, "rb") as fh:
-                blob = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            try:
-                sent, worker_state = pickle.loads(blob)
-            except Exception as exc:
-                lost.append(f"worker exited with code {code} ({_error_text(exc)})")
-                continue
-            outcomes.update(sent)
-            states.append(worker_state)
+    for pid, result_r in workers:
+        with open(result_r, "rb") as fh:
+            blob = fh.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        try:
+            sent, worker_state = pickle.loads(blob)
+        except Exception as exc:
+            lost.append(f"worker exited with code {code} ({_error_text(exc)})")
+            continue
+        outcomes.update(sent)
+        states.append(worker_state)
     missing = WorkerError("; ".join(lost))
     return {task: outcomes.get(i, missing) for i, task in enumerate(tasks)}, states
 
@@ -403,22 +434,28 @@ def run_experiment(cfg: ExperimentConfig, progress=None) -> ExperimentResult:
             progress(f"arm {arm}: {error}")
         return ArmResult(error=error)
 
-    def train(arm: str) -> ArmResult:
-        on_round = None if progress is None else _round_progress(arm, progress)
+    def train(arm: str, fork=None) -> ArmResult:
+        shown = None if progress is None else _round_progress(arm, progress)
+
+        def on_round(report: RoundReport) -> None:
+            if shown is not None:
+                shown(report)
+            if fork is not None:
+                fork()  # the first round's report lets the workers take the other arms
+
         try:
             return _execute_arm(arm, cfg, data, warmed, master, on_round)
         except Exception as exc:
             return fail(arm, _error_text(exc))
 
-    # An arm costs the training rows it visits per round. The cheapest arm
-    # (the first such of the arms) trains before anything is forked, so the
-    # first call into the work is made by this process alone, and soon.
-    cost = {arm: sum(starts[name]["train"].n for name in _ARM_TABLE[arm][1]) for arm in cfg.arms}
-    first = min(cfg.arms, key=cost.get)
-    trained = {first: train(first)}
-    del cost[first]
-    outcomes, worker_states = _forked(cost, train, shared_state)
-    trained.update(outcomes)
+    # An arm costs the training rows it visits per round; at equal rows a
+    # NORMAL arm, whose step also computes batch statistics and gamma/beta
+    # gradients, costs more than a FROZEN one. This process trains the
+    # costliest arm and forks from inside it, so the first call into the
+    # work is made by this process alone; the rest go out longest first.
+    cost = {arm: (sum(starts[name]["train"].n for name in _ARM_TABLE[arm][1]),
+                  _ARM_TABLE[arm][0].bn_policy is BnPolicy.NORMAL) for arm in cfg.arms}
+    trained, worker_states = _forked(cost, train, shared_state, lead=train)
     # a dead worker's arms fail here, in the order of arms
     arms = {arm: fail(arm, _error_text(trained[arm])) if isinstance(trained[arm], WorkerError)
             else trained[arm] for arm in cfg.arms}

@@ -60,6 +60,11 @@ class Strategy(str, Enum):
     FEDBN = "fedbn"
     FEDFBN = "fedfbn"
 
+    @property
+    def bn_policy(self) -> BnPolicy:
+        """How local training runs batch norm: FEDFBN keeps it frozen."""
+        return BnPolicy.FROZEN if self is Strategy.FEDFBN else BnPolicy.NORMAL
+
 
 class Weighting(str, Enum):
     UNIFORM = "uniform"
@@ -330,8 +335,7 @@ def _check_node_data(node: Node) -> None:
 
 
 def local_train_round(node: Node, strategy: Strategy, local_epochs: int) -> float:
-    """One node's local pass; FEDFBN trains with batch norm frozen."""
-    policy = BnPolicy.FROZEN if strategy is Strategy.FEDFBN else BnPolicy.NORMAL
+    """One node's local pass, under the strategy's batch-norm policy."""
     return train_epochs(
         node.model,
         node.train.features,
@@ -339,7 +343,7 @@ def local_train_round(node: Node, strategy: Strategy, local_epochs: int) -> floa
         node.train.mask,
         epochs=local_epochs,
         lr_by_block={REPRESENTATION: node.lr, HEADS: node.lr},
-        policy=policy,
+        policy=strategy.bn_policy,
         batch_size=node.batch_size,
         rng=node.rng,
     )

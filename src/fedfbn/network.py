@@ -20,6 +20,7 @@ Evaluation always uses running statistics and mutates nothing.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -66,6 +67,14 @@ class ModelSpec:
 BN_TENSORS = ("gamma", "beta", "running_mean", "running_var")
 
 
+@functools.cache
+def _layer_keys(depth: int) -> tuple[tuple[str, ...], ...]:
+    """Each hidden layer's keys: its dense weight and bias, then its
+    ``BN_TENSORS``; built once, not in every step."""
+    return tuple((f"dense{i}/weight", f"dense{i}/bias", *(f"bn{i}/{name}" for name in BN_TENSORS))
+                 for i in range(depth))
+
+
 @dataclass
 class Model:
     """Parameters plus the ModelSpec they were built for.
@@ -91,11 +100,9 @@ def param_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     """Every parameter key of ``spec`` with its shape, in canonical order."""
     shapes: dict[str, tuple[int, ...]] = {}
     fan_in = spec.input_dim
-    for i, width in enumerate(spec.hidden_dims):
-        shapes[f"dense{i}/weight"] = (fan_in, width)
-        shapes[f"dense{i}/bias"] = (width,)
-        for name in BN_TENSORS:
-            shapes[f"bn{i}/{name}"] = (width,)
+    for (weight, *rest), width in zip(_layer_keys(len(spec.hidden_dims)), spec.hidden_dims):
+        shapes[weight] = (fan_in, width)
+        shapes.update(dict.fromkeys(rest, (width,)))
         fan_in = width
     shapes[HEAD_WEIGHT] = (len(spec.label_names), fan_in)
     shapes[HEAD_BIAS] = (len(spec.label_names),)
@@ -137,8 +144,11 @@ def init_model(spec: ModelSpec, rng: RngStream) -> Model:
 
 def sigmoid(x: Tensor) -> Tensor:
     """Logistic function; the exponent is never positive, so it cannot overflow."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, np.divide(e, d, out=e))
 
 
 def _check_input(model: Model, x: Tensor) -> Tensor:
@@ -156,30 +166,40 @@ def _forward(model: Model, x: Tensor, use_batch: bool):
     (the mean, then the biased variance of the centered input) and updates
     the running estimates; otherwise the running statistics are used and
     nothing is mutated.
+
+    Each formula is evaluated as written, one ufunc after another; the
+    in-place forms only reuse arrays this call just allocated.
     """
     x = _check_input(model, x)
     spec = model.spec
     p = model.params
     h = x
     layers = []
-    for i in range(len(spec.hidden_dims)):
-        pre = h @ p[f"dense{i}/weight"] + p[f"dense{i}/bias"]
+    for weight, bias, gamma, beta, running_mean, running_var in _layer_keys(len(spec.hidden_dims)):
+        pre = h @ p[weight]
+        pre += p[bias]
         if use_batch:
             n = pre.shape[0]
-            mean = np.add.reduce(pre, axis=0) / n
-            centered = pre - mean
-            var = np.add.reduce(centered**2, axis=0) / n
+            mean = np.add.reduce(pre, axis=0)
+            mean /= n
+            centered = np.subtract(pre, mean, out=pre)
+            var = np.add.reduce(np.square(centered), axis=0)
+            var /= n
             m = spec.bn_momentum
-            p[f"bn{i}/running_mean"] = (1.0 - m) * p[f"bn{i}/running_mean"] + m * mean
-            p[f"bn{i}/running_var"] = (1.0 - m) * p[f"bn{i}/running_var"] + m * var
+            # new arrays: a model that shares these statistics never sees the update
+            p[running_mean] = (1.0 - m) * p[running_mean] + m * mean
+            p[running_var] = (1.0 - m) * p[running_var] + m * var
         else:
-            centered = pre - p[f"bn{i}/running_mean"]
-            var = p[f"bn{i}/running_var"]
-        inv_std = 1.0 / np.sqrt(var + spec.bn_eps)
+            centered = np.subtract(pre, p[running_mean], out=pre)
+            var = p[running_var]
+        inv_std = var + spec.bn_eps
+        np.sqrt(inv_std, out=inv_std)
+        np.divide(1.0, inv_std, out=inv_std)
         xn = centered * inv_std
-        out = p[f"bn{i}/gamma"] * xn + p[f"bn{i}/beta"]
+        out = p[gamma] * xn
+        out += p[beta]
         layers.append((h, centered, xn, inv_std, out > 0.0))
-        h = np.maximum(out, 0.0)
+        h = np.maximum(out, 0.0, out=out)
 
     # one (n, width) @ (width, 1) product per head, as with separate heads;
     # C order keeps every later whole-array sum in row-major order
@@ -200,12 +220,27 @@ def masked_bce(probs: Tensor, labels: Tensor, mask: Tensor) -> float:
     Probabilities are clamped to [1e-7, 1 - 1e-7] inside the logs only.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    n_masked = float(mask.sum())
+    return _masked_bce(probs, labels, mask, float(np.add.reduce(mask, axis=None)))
+
+
+def _masked_bce(probs: Tensor, labels: Tensor, mask: Tensor, n_masked: float) -> float:
+    """``masked_bce`` given the mask's sum, which ``backward`` needs as well.
+
+    Evaluates ``-(labels * log(p) + (1 - labels) * log1p(-p))`` into the
+    clamped copy ``p`` and one other temporary.
+    """
     if n_masked == 0:
         raise DataError("masked_bce: mask selects no entries")
     p = np.clip(probs, 1e-7, 1.0 - 1e-7)
-    term = -(labels * np.log(p) + (1.0 - labels) * np.log1p(-p))
-    return float((term * mask).sum() / n_masked)
+    term = np.log(p)
+    term *= labels
+    np.negative(p, out=p)
+    np.log1p(p, out=p)
+    p *= 1.0 - labels
+    term += p
+    np.negative(term, out=term)
+    term *= mask
+    return float(np.add.reduce(term, axis=None) / n_masked)
 
 
 def evaluate_loss(model: Model, features: Tensor, labels: Tensor, mask: Tensor) -> float:
@@ -232,11 +267,14 @@ def backward(
     use_batch = policy is BnPolicy.NORMAL
     logits, trunk, layers = _forward(model, x, use_batch)
     probs = sigmoid(logits)
-    loss = masked_bce(probs, labels, mask)
+    n_masked = float(np.add.reduce(mask, axis=None))
+    loss = _masked_bce(probs, labels, mask, n_masked)
 
-    n_masked = float(mask.sum())
-    # d loss / d logit for sigmoid+BCE fused: (p - y) * mask / n_masked
-    dlogits = (probs - labels) * mask / n_masked
+    # d loss / d logit for sigmoid+BCE fused: (p - y) * mask / n_masked; as in
+    # _forward, the in-place forms write only into this step's own temporaries
+    dlogits = np.subtract(probs, labels, out=probs)
+    dlogits *= mask
+    dlogits /= n_masked
 
     p = model.params
     # Each label as with a separate head: a (width, n) @ (n, 1) weight
@@ -248,31 +286,50 @@ def backward(
     dcols = dlogits.T[:, :, None]
     grads: dict[str, Tensor] = {
         HEAD_WEIGHT: np.matmul(trunk.T, dcols)[:, :, 0],
-        HEAD_BIAS: np.ascontiguousarray(dlogits.T).sum(axis=1),
+        HEAD_BIAS: np.add.reduce(np.ascontiguousarray(dlogits.T), axis=1),
     }
     outers = np.multiply(dcols, p[HEAD_WEIGHT][:, None, :], order="C")
     dh = np.add.reduce(outers, axis=0, initial=0.0)
 
+    keys = _layer_keys(len(layers))
     for i in reversed(range(len(layers))):
+        weight, bias, gamma, beta = keys[i][:4]
         h_in, centered, xn, inv_std, active = layers[i]
-        dh = dh * active
+        dh *= active
 
-        gamma = p[f"bn{i}/gamma"]
         if use_batch:
             n = xn.shape[0]
-            grads[f"bn{i}/gamma"] = (dh * xn).sum(axis=0)
-            grads[f"bn{i}/beta"] = dh.sum(axis=0)
-            dxn = dh * gamma
-            dvar = (dxn * centered).sum(axis=0) * (-0.5) * inv_std**3
-            dmean = -(dxn.sum(axis=0)) * inv_std + dvar * (-2.0 / n) * centered.sum(axis=0)
-            dpre = dxn * inv_std + dvar * 2.0 * centered / n + dmean / n
+            tmp = dh * xn
+            grads[gamma] = np.add.reduce(tmp, axis=0)
+            grads[beta] = np.add.reduce(dh, axis=0)
+            dxn = np.multiply(dh, p[gamma], out=dh)
+            # dvar = (dxn * centered).sum(0) * (-0.5) * inv_std**3
+            dvar = np.add.reduce(np.multiply(dxn, centered, out=tmp), axis=0)
+            dvar *= -0.5
+            dvar *= inv_std**3
+            # dmean = -(dxn.sum(0)) * inv_std + dvar * (-2.0 / n) * centered.sum(0)
+            dmean = np.add.reduce(dxn, axis=0)
+            np.negative(dmean, out=dmean)
+            dmean *= inv_std
+            shift = dvar * (-2.0 / n)
+            shift *= np.add.reduce(centered, axis=0)
+            dmean += shift
+            # dpre = dxn * inv_std + dvar * 2.0 * centered / n + dmean / n
+            dpre = np.multiply(dxn, inv_std, out=dxn)
+            np.multiply(dvar * 2.0, centered, out=tmp)
+            tmp /= n
+            dpre += tmp
+            dmean /= n
+            dpre += dmean
         else:
-            dpre = dh * gamma * inv_std
+            # dpre = dh * gamma * inv_std
+            dpre = np.multiply(dh, p[gamma], out=dh)
+            dpre *= inv_std
 
-        grads[f"dense{i}/weight"] = h_in.T @ dpre
-        grads[f"dense{i}/bias"] = dpre.sum(axis=0)
+        grads[weight] = h_in.T @ dpre
+        grads[bias] = np.add.reduce(dpre, axis=0)
         if i > 0:  # nothing reads the gradient of the input
-            dh = dpre @ p[f"dense{i}/weight"].T
+            dh = dpre @ p[weight].T
 
     return loss, grads
 
@@ -280,13 +337,15 @@ def backward(
 def sgd_step(model: Model, grads: dict[str, Tensor], lr_by_block: dict[str, float]) -> None:
     """In-place SGD update; a block with lr == 0 is skipped exactly."""
     rep_lr, head_lr = lr_by_block[REPRESENTATION], lr_by_block[HEADS]
+    params = model.params
     cut = len(_HEAD_PREFIX)
     for key, g in grads.items():
         # key_kind's head test as a slice: no call per key on the hot path
         lr = head_lr if key[:cut] == _HEAD_PREFIX else rep_lr
         if lr == 0.0:
             continue
-        model.params[key] -= lr * g
+        param = params[key]
+        param -= lr * g  # a new lr * g: the caller's grads stay as they are
 
 
 def train_epochs(

@@ -25,7 +25,7 @@ _MASK64 = (1 << 64) - 1
 
 def check_finite(arr: Tensor, context: str) -> None:
     """Raise :class:`DataError` if ``arr`` contains NaN or infinity."""
-    if not np.all(np.isfinite(arr)):
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise DataError(f"{context}: non-finite values encountered")
 
 

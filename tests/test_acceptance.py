@@ -29,7 +29,6 @@ from fedfbn.federation import (
     Node,
     Strategy,
     aggregate,
-    evaluate_global,
     extract_bundle,
     merge_heads,
     run_federation,

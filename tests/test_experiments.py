@@ -6,6 +6,7 @@ import json
 import os
 import pickle
 import select
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import fedfbn.experiments as experiments
 from fedfbn.config import ARMS, SCENARIOS, ExperimentConfig, parse_config
 from fedfbn.errors import LabelError, NodeFailure, ParseError, ProtocolError
 from fedfbn.experiments import (
-    ArmResult,
     build_scenario,
     emit_reports,
     render_tables,
@@ -277,7 +277,7 @@ def test_run_dir_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, sce
 
 
 @pytest.mark.parametrize("arms", [ARMS, ARMS[::-1]], ids=["arms", "reversed_arms"])
-def test_arms_train_cheapest_first_then_longest_first(monkeypatch, arms):
+def test_arms_train_longest_first_normal_before_frozen(monkeypatch, arms):
     cfg = tiny_cfg(arms=arms)
     data = build_scenario(cfg)
     node_rows = [ds.n for ds in data.node_train]
@@ -295,13 +295,13 @@ def test_arms_train_cheapest_first_then_longest_first(monkeypatch, arms):
     result = run_experiment(cfg)
     assert sorted(calls) == sorted(arms)
     assert list(result.arms) == list(arms)
-    # first the arm with the fewest rows, the first such arm of cfg.arms
-    fewest = [arm for arm in arms if rows[arm] == min(rows.values())]
-    assert calls[0] == fewest[0]
-    # then by rows, highest first, ties in cfg.arms order
-    for before, after in zip(calls[1:], calls[2:]):
-        assert rows[before] > rows[after] or (
-            rows[before] == rows[after] and arms.index(before) < arms.index(after)
+    # by rows, highest first; at equal rows an arm that computes batch
+    # statistics (all but fedfbn) first; then in cfg.arms order
+    cost = {arm: (rows[arm], arm != "fedfbn") for arm in arms}
+    assert len(set(cost.values())) > 1
+    for before, after in zip(calls, calls[1:]):
+        assert cost[before] > cost[after] or (
+            cost[before] == cost[after] and arms.index(before) < arms.index(after)
         ), calls
 
 
@@ -354,6 +354,76 @@ def test_forked_runs_costliest_first_and_keys_outcomes_by_task(monkeypatch, cpus
     assert calls == [task for task in order if task in calls]
     if cpus == 1:
         assert calls == order
+
+
+def test_forked_queues_more_tasks_than_a_byte_can_number(monkeypatch):
+    force_cpus(monkeypatch, 2)  # one worker
+    costs = dict.fromkeys(range(300), 0)
+    outcomes, states = experiments._forked(costs, lambda task: 2 * task, lambda: "state")
+    assert outcomes == {task: 2 * task for task in costs}
+    assert states == ["state"]
+
+
+@pytest.mark.parametrize("asks", [True, False], ids=["asks", "never_asks"])
+def test_forked_lead_runs_the_costliest_task_and_forks_when_it_asks(monkeypatch, asks):
+    force_cpus(monkeypatch, 2)  # one worker
+    taken_r, taken_w = os.pipe()
+    parent, seen = os.getpid(), []
+
+    def run(task):
+        if os.getpid() != parent:
+            os.write(taken_w, b"x")
+        return task, os.getpid()
+
+    def lead(task, fork):
+        with pytest.raises(ChildProcessError):  # no worker yet
+            os.waitpid(-1, os.WNOHANG)
+        if asks:
+            fork()
+            fork()  # a second call forks nothing more
+            # a worker takes tasks while this one still runs
+            seen.append(bool(select.select([taken_r], [], [], 60)[0]))
+        return task, "lead"
+
+    try:
+        outcomes, states = experiments._forked({"a": 1, "b": 3, "c": 2, "d": 1}, run,
+                                               lambda: "state", lead=lead)
+    finally:
+        os.close(taken_r)
+        os.close(taken_w)
+    assert outcomes["b"] == ("b", "lead")
+    assert {task: outcome[0] for task, outcome in outcomes.items()} == dict(zip("abcd", "abcd"))
+    assert states == ["state"]
+    assert seen == ([True] if asks else [])
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupt_in_this_process_kills_the_workers(monkeypatch):
+    force_cpus(monkeypatch, 2)  # one worker
+    taken_r, taken_w = os.pipe()
+    raised = []
+
+    def run(task):  # only the worker gets here: it sleeps through the queue
+        os.write(taken_w, b"x")
+        time.sleep(30)
+
+    def lead(task, fork):
+        fork()
+        assert select.select([taken_r], [], [], 60)[0], "the worker took no task"
+        raised.append(time.monotonic())
+        raise KeyboardInterrupt
+
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            experiments._forked({"lead": 1, "a": 0, "b": 0}, run, lambda: None, lead=lead)
+        # the worker is killed, not waited for: well inside one of its tasks
+        assert time.monotonic() - raised[0] < 5.0
+    finally:
+        os.close(taken_r)
+        os.close(taken_w)
+    with pytest.raises(ChildProcessError):  # and it was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_arm_table_names_every_arm_in_config_order():
@@ -639,7 +709,7 @@ def test_dead_worker_fails_only_the_arm_it_took(tmp_path, in_workers):
     errors = {arm: r.error for arm, r in result.arms.items() if r.error is not None}
     assert len(errors) == 1, errors
     (dead,) = errors
-    assert dead != "fedfbn"  # first of the cheapest arms, it trains before the fork
+    assert dead != "fedavg"  # first of the costliest arms, it trains in this process
     assert errors[dead].startswith("WorkerError: worker exited with code 3 (EOFError")
     files = emit_reports(result, tmp_path / "dead", "")
     kept = sorted(n for n in files if n.startswith(("report_", "rounds_", "global_")))

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fedfbn.federation as federation
 from fedfbn.checkpoint import load_global, save_global
-from fedfbn.datagen import DomainSpec, LabelModel, generate, shifted_domain
+from fedfbn.datagen import DomainSpec, LabelModel, generate
 from fedfbn.errors import (
     ConfigError,
     DataError,
@@ -35,7 +36,6 @@ from fedfbn.network import (
     init_model,
     train_epochs,
     warmup_heads,
-    with_heads,
 )
 from fedfbn.numerics import RngStream
 from per_label import per_label_params
@@ -402,6 +402,16 @@ def test_round_reports_track_running_minimum():
     assert fed.best_round == min(
         r.round_index for r in fed.reports if r.mean_val_loss == best_mean
     )
+
+
+def test_equal_validation_losses_keep_the_first_round(monkeypatch):
+    monkeypatch.setattr(federation, "evaluate_loss", lambda *args: 0.5)
+    n0 = make_node(0, ("a", "b"), seed=53)
+    n1 = make_node(1, ("b", "c"), seed=54)
+    fed = run_federation([n0, n1], Strategy.FEDAVG, rounds=4)
+    assert [r.mean_val_loss for r in fed.reports] == [0.5] * 4
+    assert fed.best_round == 0
+    assert [r.is_best for r in fed.reports] == [True, False, False, False]
 
 
 def test_fedfbn_round_loop_never_moves_bn():

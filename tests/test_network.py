@@ -234,9 +234,21 @@ def assert_grads_close(analytic, fd, rtol=1e-4, atol=1e-8):
                 assert rel < rtol, (key, i, av, fv, rel)
 
 
+def off_identity_bn(model, seed):
+    """Move every bn*/gamma off 1 and every bn*/beta off 0, their init, so a
+    gradient that drops gamma or beta no longer matches."""
+    rng = RngStream(seed)
+    for key, value in model.params.items():
+        if key.endswith("/gamma"):
+            value[:] = rng.child(key).uniform(1.5, 2.5, value.shape)
+        elif key.endswith("/beta"):
+            value[:] = rng.child(key).uniform(0.5, 1.0, value.shape) * (-1.0) ** np.arange(value.size)
+    return model
+
+
 def test_gradients_match_finite_differences_normal():
     spec = tiny_spec()
-    model = init_model(spec, RngStream(17))
+    model = off_identity_bn(init_model(spec, RngStream(17)), 18)
     x, y, mask = make_batch(spec, 8, 18)
     analytic, fd = fd_gradients(model, x, y, mask, BnPolicy.NORMAL)
     assert_grads_close(analytic, fd)
@@ -244,7 +256,7 @@ def test_gradients_match_finite_differences_normal():
 
 def test_gradients_match_finite_differences_frozen():
     spec = tiny_spec()
-    model = init_model(spec, RngStream(19))
+    model = off_identity_bn(init_model(spec, RngStream(19)), 20)
     # settle running stats away from the init so frozen normalization is
     # nontrivial
     x, y, mask = make_batch(spec, 8, 20)

@@ -19,7 +19,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fedfbn"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "fedfbn"
 
 ALLOWED = {
     # the only reader of the shipped global_<arm>.ckpt; the checkpoint and
@@ -28,11 +29,11 @@ ALLOWED = {
 }
 
 
-def package_trees() -> dict:
-    """Module name -> parsed source, for each module of the package."""
+def package_trees(directory=PACKAGE) -> dict:
+    """Module name -> parsed source, for each module in ``directory``."""
     return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
-        for path in sorted(PACKAGE.glob("*.py"))
+        for path in sorted(directory.glob("*.py"))
     }
 
 
@@ -202,9 +203,9 @@ def imported_names(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
-def unused_imports() -> list[str]:
+def unused_imports(directory) -> list[str]:
     unused = []
-    for module, tree in package_trees().items():
+    for module, tree in package_trees(directory).items():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         read |= exported(tree)
         unused += [f"{module}.{name}" for name in imported_names(tree) if name not in read]
@@ -212,4 +213,8 @@ def unused_imports() -> list[str]:
 
 
 def test_every_imported_name_is_used_in_its_module():
-    assert unused_imports() == []
+    assert unused_imports(PACKAGE) == []
+
+
+def test_every_imported_name_is_used_in_its_test_module():
+    assert unused_imports(TESTS) == []
